@@ -3,7 +3,6 @@
 __version__ = "0.1.0"
 
 from .combinatorics import (
-    TupleIndexer,
     count_compositions,
     enumerate_tuples,
     tuple_to_index,
@@ -58,7 +57,6 @@ from .witnesses import (
 )
 
 __all__ = [
-    "TupleIndexer",
     "count_compositions",
     "enumerate_tuples",
     "tuple_to_index",

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .decompose import NotSeparableError, SeparableEnsemble, separable_ensemble
+from .decompose import SeparableEnsemble, ensemble_from_verdict
 from .moment import (
     DEFAULT_RESIDUAL_TOL,
     RecoveryError,
@@ -88,6 +88,15 @@ def _ensemble_json(e: SeparableEnsemble) -> dict:
         "terms": terms,
         "reconstruction_error": e.reconstruction_error,
     }
+
+
+def _ensemble_certificate(spec: StateSpec, verdict: SeparabilityVerdict, normalize: bool) -> dict:
+    """Ensemble certificate of a separable verdict; raises the verdict's
+    RecoveryError when it carries no measure."""
+    ensemble = ensemble_from_verdict(spec, verdict)
+    if normalize:
+        ensemble = ensemble.normalized()
+    return _ensemble_json(ensemble)
 
 
 def _separability_json(v: SeparabilityVerdict) -> dict:
@@ -168,19 +177,15 @@ def cmd_check_separable(args, psd_tol: float, residual_tol: float) -> int:
     report = _base_report("check-separable", spec, psd_tol, residual_tol)
     verdict = is_separable(spec, residual_tol, psd_tol)
     report["separability"] = _separability_json(verdict)
-    certificate = None
+    report["certificate"] = None
     if args.certificate:
-        if verdict.verdict == "separable":
-            try:
-                ensemble = separable_ensemble(spec, residual_tol)
-                if args.normalize:
-                    ensemble = ensemble.normalized()
-                certificate = _ensemble_json(ensemble)
-            except RecoveryError as exc:
-                print(f"certificate unavailable: {exc}", file=sys.stderr)
+        if verdict.recovery_error is not None:
+            report["certificate_reason"] = str(verdict.recovery_error)
+            print(f"certificate unavailable: {verdict.recovery_error}", file=sys.stderr)
+        elif verdict.verdict == "separable":
+            report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
         elif verdict.witness is not None:
-            certificate = _witness_json(verdict.witness)
-    report["certificate"] = certificate
+            report["certificate"] = _witness_json(verdict.witness)
     _emit(report, started)
     return _VERDICT_EXIT[verdict.verdict]
 
@@ -223,10 +228,7 @@ def cmd_decompose(args, psd_tol: float, residual_tol: float) -> int:
         report["certificate"] = None
         _emit(report, started)
         return _VERDICT_EXIT[verdict.verdict]
-    ensemble = separable_ensemble(spec, residual_tol)
-    if args.normalize:
-        ensemble = ensemble.normalized()
-    report["certificate"] = _ensemble_json(ensemble)
+    report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
     _emit(report, started)
     return EXIT_POSITIVE
 
@@ -256,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="override only the measure-recovery residual tolerance",
         )
-        p.add_argument("--format", choices=["json"], default="json")
 
     p = sub.add_parser("check-ppt", help="decide m-PPT via Hankel blocks")
     common(p)
@@ -312,9 +313,6 @@ def main(argv=None) -> int:
         residual_tol = args.residual_tol
     try:
         return args.func(args, psd_tol, residual_tol)
-    except NotSeparableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except (OSError, json.JSONDecodeError, ValueError, RecoveryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

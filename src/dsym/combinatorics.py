@@ -45,38 +45,6 @@ def _count_table(N: int, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-class TupleIndexer:
-    """Precomputed digit-sum counts for fixed (N, d).
-
-    Immutable after construction; the count table is shared via a cache so
-    repeated construction is cheap.
-    """
-
-    def __init__(self, N: int, d: int):
-        _validate_nd(N, d)
-        self.N = N
-        self.d = d
-        self._rows = _count_table(N, d)
-        # uint64 table mirrors the exact-integer rows; the d**N bound above
-        # guarantees every entry (and their total) fits.
-        width = N * (d - 1) + 1
-        self.counts = np.zeros((N + 1, width), dtype=np.uint64)
-        for n, row in enumerate(self._rows):
-            self.counts[n, : len(row)] = row
-
-    def count(self, n: int, k: int) -> int:
-        """Number of n-tuples over {0..d-1} with digit sum k (0 outside range)."""
-        if not 0 <= n <= self.N:
-            raise ValueError(f"n must be in [0, {self.N}], got {n}")
-        row = self._rows[n]
-        if k < 0 or k >= len(row):
-            return 0
-        return row[k]
-
-    def max_sum(self) -> int:
-        return self.N * (self.d - 1)
-
-
 def count_compositions(N: int, k: int, d: int) -> int:
     """Count N-tuples over {0..d-1} with digit sum k.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, is_separable
+from .moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, SeparabilityVerdict, is_separable
 from .states import StateSpec, check_dense_cap, dense_cap
 
 TOP = "top"
@@ -96,20 +96,20 @@ def separable_ensemble(
     atom (a single product term for an atom at 0) plus the top product state
     weighted by the recovered mass M.
 
-    Raises NotSeparableError for entangled or marginal states; a recovery
-    failure inside the separability check propagates as RecoveryError.
+    Raises NotSeparableError for entangled or marginal states, and the
+    verdict's RecoveryError when no measure could be recovered.
     """
-    verdict = is_separable(spec, tol)
+    return ensemble_from_verdict(spec, is_separable(spec, tol))
+
+
+def ensemble_from_verdict(spec: StateSpec, verdict: SeparabilityVerdict) -> SeparableEnsemble:
+    """Ensemble certifying an already computed separability verdict."""
     if verdict.verdict != "separable":
         raise NotSeparableError(
             f"state is {verdict.verdict}; no separable decomposition exists"
         )
-    if verdict.atoms is None:
-        from .moment import recover_atomic_measure
-
-        # re-raise the underlying RecoveryError with its diagnostics
-        recover_atomic_measure(spec.p, tol)
-        raise AssertionError("unreachable: recovery succeeded on retry")
+    if verdict.recovery_error is not None:
+        raise verdict.recovery_error
     return ensemble_from_measure(spec, verdict.atoms)
 
 
@@ -135,9 +135,3 @@ def ensemble_from_measure(spec: StateSpec, measure: MeasureAtoms) -> SeparableEn
         err = float(np.linalg.norm(ensemble.to_dense() - build_state(spec)))
     return SeparableEnsemble(N, d, tuple(terms), err)
 
-
-def fourier_delta_identity(L: int, r: int) -> complex:
-    """Average of the r-th powers of the L-th roots of unity; equals 1 when
-    r is a multiple of L and 0 otherwise (exactly, up to rounding)."""
-    omega = np.exp(2j * np.pi / L)
-    return complex(np.mean(omega ** (np.arange(L) * r)))

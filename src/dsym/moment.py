@@ -12,11 +12,19 @@ preferring the fewest atoms that reproduce every moment within tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ppt import DEFAULT_PSD_TOL, MARGINAL, NOT_PSD, PsdCheck, is_m_ppt, is_psd
+from .ppt import (
+    DEFAULT_PSD_TOL,
+    MARGINAL,
+    NOT_PSD,
+    PSD,
+    PsdCheck,
+    classify_min_eigenvalue,
+    is_m_ppt,
+)
 from .states import StateSpec
 
 DEFAULT_RESIDUAL_TOL = 1e-9
@@ -55,12 +63,29 @@ class MomentCheck:
     strict: bool  # both Hankels strictly positive definite
     even: PsdCheck
     odd: PsdCheck
+    # unit eigenvector of each Hankel's lowest eigenvalue; None when empty.
+    # Left out of ==, which cannot compare arrays; p determines them anyway.
+    even_vec: np.ndarray | None = field(default=None, compare=False, repr=False)
+    odd_vec: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+
+def _lowest_eigenpair(H: np.ndarray, tol: float) -> tuple[PsdCheck, np.ndarray | None]:
+    """PSD status of a moment Hankel and the eigenvector of its lowest
+    eigenvalue, from one symmetric eigendecomposition."""
+    if H.size == 0:
+        return PsdCheck(PSD, None, None), None
+    evals, evecs = np.linalg.eigh(H)
+    lam_min, lam_max = float(evals[0]), float(evals[-1])
+    return PsdCheck(classify_min_eigenvalue(lam_min, lam_max, tol), lam_min, lam_max), evecs[:, 0]
 
 
 def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentCheck:
+    """Feasibility of the moment sequence p, deciding each moment Hankel with
+    a single eigendecomposition whose lowest eigenvector is kept for the
+    witness."""
     h_even, h_odd = moment_hankels(p)
-    even = is_psd(h_even, tol)
-    odd = is_psd(h_odd, tol)
+    even, even_vec = _lowest_eigenpair(h_even, tol)
+    odd, odd_vec = _lowest_eigenpair(h_odd, tol)
     statuses = {even.status, odd.status}
     if NOT_PSD in statuses:
         verdict = "no"
@@ -74,7 +99,7 @@ def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentChe
             return True
         return chk.lam_min > tol * max(1.0, chk.lam_max)
 
-    return MomentCheck(verdict, _strict(even) and _strict(odd), even, odd)
+    return MomentCheck(verdict, _strict(even) and _strict(odd), even, odd, even_vec, odd_vec)
 
 
 @dataclass(frozen=True)
@@ -261,6 +286,10 @@ def recover_atomic_measure(p, tol: float = DEFAULT_RESIDUAL_TOL) -> MeasureAtoms
     )
 
 
+# Separability is moment feasibility, so its verdict is read off the check.
+_SEPARABILITY = {"yes": "separable", "no": "entangled", "marginal": "marginal"}
+
+
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     verdict: str  # "separable" | "entangled" | "marginal"
@@ -269,6 +298,7 @@ class SeparabilityVerdict:
     odd: PsdCheck
     atoms: MeasureAtoms | None = None
     witness: object | None = None  # WitnessSpec when entangled
+    recovery_error: RecoveryError | None = None  # separable without atoms
 
 
 def is_separable(
@@ -279,12 +309,14 @@ def is_separable(
     """Full separability of the diagonal restricted-Dicke state: equivalent to
     moment-problem feasibility of its coefficient sequence.
 
-    Separable verdicts carry a recovered measure when conditioning permits;
-    entangled verdicts carry a detecting witness.
+    Separable verdicts carry the recovered measure, or the RecoveryError that
+    explains why there is none; entangled verdicts carry a detecting witness
+    built from the feasibility check's own eigenvectors.
     """
     check = is_generalized_moment_solution(spec.p, psd_tol)
-    if check.verdict == "no":
-        from .witnesses import find_detecting_witness
+    verdict = _SEPARABILITY[check.verdict]
+    if verdict == "entangled":
+        from .witnesses import witness_from_check
 
         if check.even.status == NOT_PSD and check.odd.status == NOT_PSD:
             basis = "both"
@@ -292,22 +324,23 @@ def is_separable(
             basis = "even-hankel"
         else:
             basis = "odd-hankel"
-        witness = find_detecting_witness(spec, psd_tol)
-        return SeparabilityVerdict("entangled", basis, check.even, check.odd, None, witness)
-    if check.verdict == "marginal":
-        return SeparabilityVerdict("marginal", "both", check.even, check.odd)
+        witness = witness_from_check(spec, check)
+        return SeparabilityVerdict(verdict, basis, check.even, check.odd, witness=witness)
+    if verdict == "marginal":
+        return SeparabilityVerdict(verdict, "both", check.even, check.odd)
     try:
         atoms = recover_atomic_measure(spec.p, tol)
-    except RecoveryError:
-        atoms = None
-    return SeparabilityVerdict("separable", "both", check.even, check.odd, atoms)
+    except RecoveryError as exc:
+        return SeparabilityVerdict(verdict, "both", check.even, check.odd, recovery_error=exc)
+    return SeparabilityVerdict(verdict, "both", check.even, check.odd, atoms)
 
 
 @dataclass(frozen=True)
 class MainTheoremRecord:
     """Joint run of the three equivalent classifications (separability,
     half-party PPT, moment feasibility) with an agreement flag; marginal
-    verdicts are excluded from the agreement comparison."""
+    verdicts are excluded from the agreement comparison.  Separability is
+    read off the moment check, so PPT is the only independent vote."""
 
     m: int
     separable: str
@@ -316,11 +349,7 @@ class MainTheoremRecord:
     agree: bool
 
 
-def check_main_theorem(
-    spec: StateSpec,
-    tol: float = DEFAULT_RESIDUAL_TOL,
-    psd_tol: float = DEFAULT_PSD_TOL,
-) -> MainTheoremRecord:
+def check_main_theorem(spec: StateSpec, psd_tol: float = DEFAULT_PSD_TOL) -> MainTheoremRecord:
     N, d = spec.N, spec.d
     if N % 2 == 0:
         m = N // 2
@@ -331,15 +360,10 @@ def check_main_theorem(
             "the equivalence requires N even, or d = 2 with N odd; "
             f"got N={N}, d={d}"
         )
-    sep = is_separable(spec, tol, psd_tol)
-    ppt_report = is_m_ppt(spec, m, psd_tol)
     moment_check = is_generalized_moment_solution(spec.p, psd_tol)
-    votes = []
-    if sep.verdict != "marginal":
-        votes.append(sep.verdict == "separable")
-    if ppt_report.verdict != "marginal":
-        votes.append(ppt_report.verdict == "ppt")
-    if moment_check.verdict != "marginal":
-        votes.append(moment_check.verdict == "yes")
-    agree = len(set(votes)) <= 1
-    return MainTheoremRecord(m, sep.verdict, ppt_report.verdict, moment_check.verdict, agree)
+    ppt_report = is_m_ppt(spec, m, psd_tol)
+    agree = "marginal" in (moment_check.verdict, ppt_report.verdict) or (
+        (moment_check.verdict == "yes") == (ppt_report.verdict == "ppt")
+    )
+    separable = _SEPARABILITY[moment_check.verdict]
+    return MainTheoremRecord(m, separable, ppt_report.verdict, moment_check.verdict, agree)

@@ -155,12 +155,6 @@ def build_state(spec: StateSpec, normalize: bool = False) -> np.ndarray:
     return rho
 
 
-def pure_product_vector(d: int, z: complex) -> np.ndarray:
-    """Unit vector with geometrically graded amplitudes (1, z, z^2, ..., z^(d-1))."""
-    amps = np.array([complex(z) ** i for i in range(d)], dtype=np.complex128)
-    return amps / np.linalg.norm(amps)
-
-
 def sigma_z(N: int, d: int, z: complex) -> np.ndarray:
     """Rank-1, trace-1 product state built from N copies of the geometric
     vector; z = 0 degenerates to the all-zeros basis state.  Together with
@@ -168,7 +162,9 @@ def sigma_z(N: int, d: int, z: complex) -> np.ndarray:
     digit-sum symmetric family.
     """
     check_dense_cap(N, d)
-    xi = pure_product_vector(d, z)
+    # unit vector with geometrically graded amplitudes (1, z, ..., z^(d-1))
+    xi = np.array([complex(z) ** i for i in range(d)])
+    xi /= np.linalg.norm(xi)
     vec = xi
     for _ in range(N - 1):
         vec = np.kron(vec, xi)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moment import moment_hankels
-from .ppt import DEFAULT_PSD_TOL, NOT_PSD, is_psd
+from .moment import MomentCheck, is_generalized_moment_solution
+from .ppt import DEFAULT_PSD_TOL, NOT_PSD
 from .states import StateSpec, check_dense_cap, dual_restricted_dicke
 
 
@@ -117,6 +117,30 @@ def _unit_sign_fixed(vec: np.ndarray) -> np.ndarray:
     return v
 
 
+def witness_from_check(spec: StateSpec, check: MomentCheck) -> WitnessSpec | None:
+    """Witness from the lowest eigenvector of the more negative of the
+    decisively non-PSD moment Hankels in `check` (the even one on a tie), or
+    None when neither is decisively non-PSD."""
+    candidates = [
+        (chk.lam_min, family, vec)
+        for family, chk, vec in (
+            ("V", check.even, check.even_vec),
+            ("U", check.odd, check.odd_vec),
+        )
+        if chk.status == NOT_PSD
+    ]
+    if not candidates:
+        return None
+    lam_min, family, vec = min(candidates, key=lambda c: c[0])
+    return WitnessSpec(
+        family=family,
+        coeffs=tuple(_unit_sign_fixed(vec.astype(np.complex128))),
+        N=spec.N,
+        d=spec.d,
+        witness_value=lam_min,
+    )
+
+
 def find_detecting_witness(
     spec: StateSpec, tol: float = DEFAULT_PSD_TOL
 ) -> WitnessSpec | None:
@@ -127,23 +151,4 @@ def find_detecting_witness(
     Hankel eigenvalue (sign fixed so the first nonzero component is
     positive); the witness value equals that eigenvalue.
     """
-    h_even, h_odd = moment_hankels(spec.p)
-    best = None
-    for family, H in (("V", h_even), ("U", h_odd)):
-        chk = is_psd(H, tol)
-        if chk.status != NOT_PSD:
-            continue
-        if best is None or chk.lam_min < best[1]:
-            best = (family, chk.lam_min, H)
-    if best is None:
-        return None
-    family, lam_min, H = best
-    evals, evecs = np.linalg.eigh(H)
-    coeffs = _unit_sign_fixed(evecs[:, 0].astype(np.complex128))
-    return WitnessSpec(
-        family=family,
-        coeffs=tuple(coeffs),
-        N=spec.N,
-        d=spec.d,
-        witness_value=float(evals[0]),
-    )
+    return witness_from_check(spec, is_generalized_moment_solution(spec.p, tol))

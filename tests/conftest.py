@@ -23,3 +23,25 @@ def random_spec(rng: np.random.Generator, N: int, d: int) -> StateSpec:
 
 def geometric_p(N: int, d: int, t: float, w: float = 1.0) -> tuple[float, ...]:
     return tuple(w * t**k for k in range(N * (d - 1) + 1))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Replace attributes of a module with call-counting wrappers; returns a
+    function `install(owner, *names)` whose result maps each name to the
+    number of calls made so far."""
+    counts: dict[str, int] = {}
+
+    def install(owner, *names):
+        for name in names:
+            original = getattr(owner, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    return install

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import dsym.moment
 from dsym.cli import main, parse_spec_dict
 
 from conftest import geometric_p
@@ -119,6 +121,51 @@ def test_check_separable_two_point_state(tmp_path, capsys):
     cert = report["certificate"]
     assert len(cert["terms"]) == 2
     assert {t["vector"] == "top" for t in cert["terms"]} == {True, False}
+
+
+@pytest.mark.parametrize("command", [["decompose"], ["check-separable", "--certificate"]])
+def test_separable_certificate_decides_once(tmp_path, capsys, count_calls, command):
+    counts = count_calls(dsym.moment, "is_generalized_moment_solution", "recover_atomic_measure")
+    path = write_spec(tmp_path, {"N": 3, "d": 3, "p": list(geometric_p(3, 3, 0.4))})
+    code, report = run(capsys, [command[0], path, *command[1:]])
+    assert code == 0
+    assert report["certificate"]["type"] == "ensemble"
+    assert counts == {"is_generalized_moment_solution": 1, "recover_atomic_measure": 1}
+
+
+def test_entangled_certificate_decomposes_each_hankel_once(tmp_path, capsys, count_calls):
+    counts = count_calls(np.linalg, "eigh", "eigvalsh")
+    path = write_spec(tmp_path, COUNTEREXAMPLE)
+    code, report = run(capsys, ["check-separable", path, "--certificate"])
+    assert code == 1
+    assert report["certificate"]["type"] == "witness"
+    assert counts["eigh"] + counts["eigvalsh"] == 2
+
+
+# Separable (p_k = 2^k is the moment sequence of one atom at 2), but the
+# recovery cascade finds no atoms within the residual bound at this length.
+UNRECOVERED = {"N": 48, "d": 2, "p": [2.0**k for k in range(49)]}
+
+
+def test_missing_certificate_states_its_reason(tmp_path, capsys):
+    path = write_spec(tmp_path, UNRECOVERED)
+    code = main(["check-separable", path, "--certificate"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 0
+    assert report["separability"]["verdict"] == "separable"
+    assert report["certificate"] is None
+    assert report["certificate_reason"].startswith("no atomic measure met the residual bound")
+    assert "certificate unavailable" in captured.err
+
+
+def test_decompose_refuses_without_recovered_measure(tmp_path, capsys):
+    path = write_spec(tmp_path, UNRECOVERED)
+    code = main(["decompose", path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: no atomic measure met the residual bound")
 
 
 def test_oracle_verify_counterexample_masks(tmp_path, capsys):

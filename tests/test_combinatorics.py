@@ -6,7 +6,6 @@ import math
 import pytest
 
 from dsym.combinatorics import (
-    TupleIndexer,
     count_compositions,
     digit_sums,
     enumerate_tuples,
@@ -99,17 +98,9 @@ def test_tuple_to_index_rejects_bad_digit():
         tuple_to_index((0, 2), 2)
 
 
-def test_indexer_table():
-    ix = TupleIndexer(4, 3)
-    assert ix.count(4, 0) == 1
-    assert ix.count(4, 9) == 0  # above 4*(3-1)=8
-    assert ix.count(2, 2) == 3
-    assert int(ix.counts[4].sum()) == 3**4
-
-
-def test_indexer_rejects_overflow_scale():
+def test_count_rejects_overflow_scale():
     with pytest.raises(ValueError):
-        TupleIndexer(64, 3)  # 3**64 > 2**64 - 1
+        count_compositions(64, 0, 3)  # 3**64 > 2**64 - 1
 
 
 def test_digit_sums_consistency():

@@ -3,23 +3,17 @@
 import numpy as np
 import pytest
 
+import dsym.moment
 from dsym.decompose import (
     NotSeparableError,
-    fourier_delta_identity,
     geometric_ensemble,
     separable_ensemble,
 )
+from dsym.moment import RecoveryError, is_separable
 from dsym.oracle import permutation_operator
 from dsym.states import StateSpec, build_state
 
 from conftest import geometric_p
-
-
-def test_fourier_delta_identity():
-    for L in [3, 4, 7, 9]:
-        for r in range(-(L - 1), L):
-            expected = 1.0 if r == 0 else 0.0
-            assert abs(fourier_delta_identity(L, r) - expected) < 1e-12
 
 
 def test_geometric_ensemble_t_zero():
@@ -79,6 +73,22 @@ def test_separable_ensemble_matches_geometric_for_single_atom():
 def test_separable_ensemble_rejects_entangled(ppt_entangled_spec):
     with pytest.raises(NotSeparableError):
         separable_ensemble(ppt_entangled_spec)
+
+
+def test_separable_ensemble_raises_the_verdicts_recovery_error(monkeypatch):
+    error = RecoveryError("no atomic measure met the residual bound")
+
+    def fail(p, tol):
+        raise error
+
+    monkeypatch.setattr(dsym.moment, "recover_atomic_measure", fail)
+    spec = StateSpec(3, 3, geometric_p(3, 3, 0.4))
+    verdict = is_separable(spec)
+    assert verdict.verdict == "separable"
+    assert verdict.atoms is None and verdict.recovery_error is error
+    with pytest.raises(RecoveryError) as raised:
+        separable_ensemble(spec)
+    assert raised.value is error
 
 
 def test_reconstruction_on_random_feasible_sequences():

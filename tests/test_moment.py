@@ -193,6 +193,22 @@ def test_main_theorem_consistency():
     assert record.moment == "yes"
 
 
+def test_entangled_verdict_decomposes_each_hankel_once(ppt_entangled_spec, count_calls):
+    # the verdict and its witness share one eigendecomposition per Hankel
+    counts = count_calls(np.linalg, "eigh", "eigvalsh")
+    verdict = is_separable(ppt_entangled_spec)
+    assert verdict.verdict == "entangled" and verdict.witness is not None
+    assert counts["eigh"] + counts["eigvalsh"] == 2
+
+
+def test_main_theorem_checks_moments_once(count_calls):
+    import dsym.moment
+
+    counts = count_calls(dsym.moment, "is_generalized_moment_solution")
+    check_main_theorem(StateSpec(4, 2, (1.0,) * 5))
+    assert counts["is_generalized_moment_solution"] == 1
+
+
 def test_main_theorem_odd_qubits_uses_half_split():
     record = check_main_theorem(StateSpec(3, 2, (1.0, 0.5, 0.25, 0.125)))
     assert record.m == 1 and record.agree
