@@ -44,14 +44,21 @@ def parse_spec_file(path: str) -> StateSpec:
     return parse_spec_dict(data)
 
 
+def _integer(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_spec_dict(data: dict) -> StateSpec:
     if not isinstance(data, dict):
         raise ValueError("spec file must contain a JSON object")
     for key in ("N", "d", "p"):
         if key not in data:
             raise ValueError(f"spec file is missing required key {key!r}")
-    N = int(data["N"])
-    d = int(data["d"])
+    N = _integer(data, "N")
+    d = _integer(data, "d")
     p = []
     for entry in data["p"]:
         if isinstance(entry, str):

@@ -4,10 +4,13 @@ and the separability decision it induces for diagonal restricted-Dicke states.
 A coefficient sequence (p_0..p_n) is feasible exactly when the two moment
 Hankel matrices (p_{k+l}) and (p_{k+l+1}) are positive semidefinite; the
 measure may place an extra nonnegative mass M on the top moment p_n.  A
-feasible sequence is certified constructively: Gauss-quadrature nodes and
-weights are extracted from the moment sequence through the classical
-three-term recurrence (Chebyshev algorithm -> Jacobi matrix -> eigenvalues),
-preferring the fewest atoms that reproduce every moment within tolerance.
+feasible sequence is certified constructively.  The sequence is rescaled once,
+q_k = p_k / c^k, so its moments are of order one; the classical three-term
+recurrence of q (Chebyshev algorithm -> Jacobi matrix truncated at its
+numerical rank -> eigenvalues) gives Gauss nodes and weights, and the nodes
+are mapped back by c.  For even n a rule with one node pinned at 0 is tried
+first, then the Gauss rule; the first that reproduces every moment within
+tolerance is the certificate.
 """
 
 from __future__ import annotations
@@ -157,13 +160,12 @@ def _recurrence_from_moments(mom: np.ndarray, K: int):
     return np.array(alphas), np.array(betas)
 
 
-def _gauss_rule(mom: np.ndarray, q: int):
-    """Gauss nodes/weights for the measure behind `mom`, at most q points.
+def _gauss_rule(alphas: np.ndarray, betas: np.ndarray):
+    """Gauss nodes/weights of the Jacobi matrix of a recurrence.
 
     Nodes are Jacobi-matrix eigenvalues; weights are the squared first
-    eigenvector components scaled by the total mass.
+    eigenvector components scaled by the total mass betas[0].
     """
-    alphas, betas = _recurrence_from_moments(mom, q)
     r = len(alphas)
     if r == 0:
         return np.zeros(0), np.zeros(0)
@@ -176,35 +178,29 @@ def _gauss_rule(mom: np.ndarray, q: int):
     return nodes, weights
 
 
-def _refit_weights(nodes: np.ndarray, p: np.ndarray) -> np.ndarray | None:
-    """Least-squares weights on the Vandermonde system over the exact moments
-    p_0..p_{n-1}; returns None unless strictly positive."""
-    n = len(p) - 1
-    if n < 1 or len(nodes) == 0:
-        return None
-    V = nodes[None, :] ** np.arange(n)[:, None]
-    weights, *_ = np.linalg.lstsq(V, p[:n], rcond=None)
-    if np.any(weights <= 0):
-        return None
-    return weights
+class _Rejected(Exception):
+    """A quadrature rule that does not certify the sequence: (atom count, reason)."""
 
 
-def _clean_atoms(nodes: np.ndarray, weights: np.ndarray, scale: float):
-    """Clip slightly-negative nodes to 0, drop negligible weights, merge
-    duplicates; returns None if a node is decisively negative."""
+def _clean_atoms(nodes: np.ndarray, weights: np.ndarray, n: int, scale: float):
+    """Clip slightly-negative nodes to 0, drop atoms whose largest moment
+    w * max(1, t)^n is negligible against the data, merge duplicates; rejects
+    the rule if a kept node is decisively negative."""
     node_clip = 1e-8 * (1.0 + float(np.max(np.abs(nodes), initial=0.0)))
+    with np.errstate(over="ignore"):
+        largest = weights * np.maximum(nodes, 1.0) ** n
     merged: dict[float, float] = {}
-    for t, w in zip(nodes, weights):
-        if w <= 1e-12 * max(1.0, scale):
+    for t, w, top in zip(nodes, weights, largest):
+        if top <= 1e-12 * scale:
             continue
         if t < -node_clip:
-            return None
+            raise _Rejected(len(nodes), f"negative node {t:.3e}")
         t = max(float(t), 0.0)
         merged[t] = merged.get(t, 0.0) + float(w)
     return sorted(merged.items())
 
 
-def _evaluate_candidate(atom_list, p: np.ndarray, bound: float) -> MeasureAtoms | None:
+def _evaluate_candidate(atom_list, p: np.ndarray, bound: float) -> MeasureAtoms:
     """Check an atom list against the full sequence; absorb the top-moment
     surplus into M when nonnegative."""
     n = len(p) - 1
@@ -212,26 +208,48 @@ def _evaluate_candidate(atom_list, p: np.ndarray, bound: float) -> MeasureAtoms 
     mom = candidate.moments(n + 1)
     top_mass = p[n] - mom[n]
     if top_mass < -bound:
-        return None
+        raise _Rejected(len(atom_list), f"negative top mass {top_mass:.3e}")
     if top_mass <= bound:
         top_mass = 0.0
     reproduced = mom.copy()
     reproduced[n] += top_mass
     residual = float(np.max(np.abs(reproduced - p), initial=0.0))
     if residual > bound:
-        return None
+        raise _Rejected(len(atom_list), f"residual {residual:.3e} > bound")
     return MeasureAtoms(tuple(atom_list), float(top_mass), residual)
+
+
+def _radau_rule(q: np.ndarray):
+    """Rule with one node pinned at 0 for the moments q_0..q_n, n even, from
+    the Gauss rule of the shifted sequence q_1..q_n."""
+    # q_1..q_n are the raw moments of t*dsigma; dividing its Gauss weights by
+    # the nodes recovers sigma away from 0, and the mass balance pins the
+    # weight at 0.
+    nodes, u = _gauss_rule(*_recurrence_from_moments(q[1:], (len(q) - 1) // 2))
+    if len(nodes) and np.min(nodes) <= 1e-10 * (1.0 + np.max(nodes)):
+        raise _Rejected(len(nodes) + 1, f"non-positive node {np.min(nodes):.3e}")
+    weights = u / nodes
+    w0 = q[0] - float(np.sum(weights))
+    if w0 < -1e-10 * q[0]:
+        raise _Rejected(len(nodes) + 1, f"negative weight at 0 ({w0:.3e})")
+    if w0 <= 1e-10 * q[0]:  # rounding noise either side of an empty 0
+        return nodes, weights
+    return np.concatenate([[0.0], nodes]), np.concatenate([[w0], weights])
 
 
 def recover_atomic_measure(p, tol: float = DEFAULT_RESIDUAL_TOL) -> MeasureAtoms:
     """Atomic measure (plus top mass) reproducing a feasible moment sequence.
 
-    Candidates are tried in a fixed order and the first one meeting the
-    residual bound wins: for even-length data, a rule with one node pinned
-    at 0 built from the shifted sequence (p_1, ..., p_n), which matches all
-    moments exactly whenever possible; then plain Gauss rules of increasing
-    size with the surplus on the top moment.  Raises RecoveryError when no
-    candidate meets the bound (the feasibility verdict is unaffected).
+    The sequence is rescaled once to q_k = p_k / c^k with
+    c = (p_{n-1} / p_0)^{1/(n-1)}, so the Chebyshev algorithm sees moments of
+    order one.  At most two rules are built, each from one recurrence, and
+    the first whose atoms (nodes mapped back by c) reproduce p within
+    tol * max|p| wins: for even n, the rule with one node pinned at 0 from the
+    shifted sequence q_1..q_n, which matches all moments exactly whenever
+    possible; then the Gauss rule of q, truncated at the recurrence's
+    numerical rank, with the surplus on the top moment.  Raises RecoveryError
+    naming each rule and why it was rejected (the feasibility verdict is
+    unaffected).
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or len(p) == 0:
@@ -241,48 +259,24 @@ def recover_atomic_measure(p, tol: float = DEFAULT_RESIDUAL_TOL) -> MeasureAtoms
     if scale == 0.0:
         return MeasureAtoms((), 0.0, 0.0)
     bound = tol * scale
+    c = 1.0
+    if n >= 2 and p[0] > 0 and p[n - 1] > 0:
+        c = float((p[n - 1] / p[0]) ** (1.0 / (n - 1)))
+    q = p / c ** np.arange(n + 1)
 
-    candidates = []
-    if n >= 2 and n % 2 == 0:
-        candidates.append(("radau", n // 2))
-    for r in range((n + 1) // 2 + 1):
-        candidates.append(("gauss", r))
-
-    for kind, q in candidates:
-        if kind == "radau":
-            # p_1..p_n are the raw moments of t*dsigma; dividing its Gauss
-            # weights by the nodes recovers sigma away from 0, and the mass
-            # balance pins the weight at 0.
-            nodes, u = _gauss_rule(p[1:], q)
-            if len(nodes) and np.min(nodes) <= 1e-10 * (1.0 + np.max(nodes)):
-                continue
-            weights = u / nodes if len(nodes) else u
-            w0 = p[0] - float(np.sum(weights))
-            if w0 < -1e-10 * max(1.0, p[0]):
-                continue
-            if w0 > 1e-12 * max(1.0, p[0]):
-                nodes = np.concatenate([[0.0], nodes])
-                weights = np.concatenate([[w0], weights])
-        else:
-            if q == 0:
-                nodes, weights = np.zeros(0), np.zeros(0)
+    rejected = []
+    for kind in ("radau", "gauss") if n >= 2 and n % 2 == 0 else ("gauss",):
+        try:
+            if kind == "radau":
+                nodes, weights = _radau_rule(q)
             else:
-                nodes, weights = _gauss_rule(p[: 2 * q], q)
-                if len(nodes) < q:
-                    # rank-deficient subproblem: the truncated nodes are kept
-                    # and the weights re-solved against all exact moments
-                    refit = _refit_weights(nodes, p)
-                    if refit is not None:
-                        weights = refit
-        atom_list = _clean_atoms(nodes, weights, scale)
-        if atom_list is None:
-            continue
-        result = _evaluate_candidate(atom_list, p, bound)
-        if result is not None:
-            return result
+                nodes, weights = _gauss_rule(*_recurrence_from_moments(q, (n + 1) // 2))
+            return _evaluate_candidate(_clean_atoms(c * nodes, weights, n, scale), p, bound)
+        except _Rejected as exc:
+            count, reason = exc.args
+            rejected.append(f"{kind} rule, {count} atom{'s' * (count != 1)}: {reason}")
     raise RecoveryError(
-        "no atomic measure met the residual bound "
-        f"{bound:.3e}; the sequence may be too ill-conditioned"
+        f"no atomic measure met the residual bound {bound:.3e}: " + "; ".join(rejected)
     )
 
 

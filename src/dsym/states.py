@@ -10,6 +10,7 @@ Hankel classification path in the ppt/moment modules has no cap.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -66,6 +67,8 @@ class StateSpec:
                 f"coefficient sequence must have length N(d-1)+1 = {expected}, "
                 f"got {len(p)}"
             )
+        if not all(math.isfinite(x) for x in p):
+            raise ValueError("coefficients p_k must be finite")
         if any(x < 0 for x in p):
             raise ValueError("coefficients p_k must be nonnegative")
         object.__setattr__(self, "p", p)

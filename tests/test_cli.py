@@ -7,6 +7,7 @@ import pytest
 
 import dsym.moment
 from dsym.cli import main, parse_spec_dict
+from dsym.moment import RecoveryError
 
 from conftest import geometric_p
 
@@ -42,6 +43,13 @@ def test_parse_rejects_bad_input():
         parse_spec_dict({"N": 2, "d": 2, "p": [1.0, {}, 1.0]})
     with pytest.raises(ValueError):
         parse_spec_dict([1, 2, 3])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            parse_spec_dict({"N": 2, "d": 2, "p": [1.0, bad, 1.0]})
+    for N, d in ((2.9, 2), (2, 2.5), (True, 2), (2, True)):
+        with pytest.raises(ValueError):
+            parse_spec_dict({"N": N, "d": d, "p": [1.0, 1.0, 1.0]})
+    assert parse_spec_dict({"N": 3, "d": 2.0, "p": [1.0] * 4}).d == 2
 
 
 def test_check_ppt_counterexample(tmp_path, capsys):
@@ -74,6 +82,16 @@ def test_check_ppt_parse_error_exit_3(tmp_path, capsys):
     code = main(["check-ppt", str(path), "--m", "1"])
     assert code == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_non_finite_coefficient_exit_3(tmp_path, capsys, bad):
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"N": 2, "d": 2, "p": [1, {bad}, 1]}}')
+    assert main(["check-separable", str(path), "--certificate"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_check_ppt_missing_file_exit_3(tmp_path, capsys):
@@ -142,13 +160,22 @@ def test_entangled_certificate_decomposes_each_hankel_once(tmp_path, capsys, cou
     assert counts["eigh"] + counts["eigvalsh"] == 2
 
 
-# Separable (p_k = 2^k is the moment sequence of one atom at 2), but the
-# recovery cascade finds no atoms within the residual bound at this length.
-UNRECOVERED = {"N": 48, "d": 2, "p": [2.0**k for k in range(49)]}
+@pytest.fixture
+def unrecovered(tmp_path, monkeypatch):
+    """Path of a separable spec whose measure recovery is made to fail."""
+
+    def fail(p, tol):
+        raise RecoveryError(
+            "no atomic measure met the residual bound 1.000e-09: "
+            "gauss rule, 1 atom: residual 1.000e-03 > bound"
+        )
+
+    monkeypatch.setattr(dsym.moment, "recover_atomic_measure", fail)
+    return write_spec(tmp_path, {"N": 3, "d": 3, "p": list(geometric_p(3, 3, 0.4))})
 
 
-def test_missing_certificate_states_its_reason(tmp_path, capsys):
-    path = write_spec(tmp_path, UNRECOVERED)
+def test_missing_certificate_states_its_reason(unrecovered, capsys):
+    path = unrecovered
     code = main(["check-separable", path, "--certificate"])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
@@ -159,13 +186,26 @@ def test_missing_certificate_states_its_reason(tmp_path, capsys):
     assert "certificate unavailable" in captured.err
 
 
-def test_decompose_refuses_without_recovered_measure(tmp_path, capsys):
-    path = write_spec(tmp_path, UNRECOVERED)
+def test_decompose_refuses_without_recovered_measure(unrecovered, capsys):
+    path = unrecovered
     code = main(["decompose", path])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: no atomic measure met the residual bound")
+
+
+@pytest.mark.parametrize("N", [48, 128])
+def test_geometric_certificate_at_large_n(tmp_path, capsys, N):
+    # p_k = 2^k is the moment sequence of one atom at 2, whose moments grow
+    # far past the scale of the first one
+    path = write_spec(tmp_path, {"N": N, "d": 2, "p": [2.0**k for k in range(N + 1)]})
+    code, report = run(capsys, ["check-separable", path, "--certificate"])
+    assert code == 0
+    assert report["certificate"]["type"] == "ensemble"
+    measure = report["separability"]["measure"]
+    np.testing.assert_allclose(measure["atoms"], [[2.0, 1.0]], rtol=1e-12)
+    assert measure["top_mass"] == 0.0
 
 
 def test_oracle_verify_counterexample_masks(tmp_path, capsys):

@@ -133,6 +133,46 @@ def test_recover_fails_on_infeasible():
         recover_atomic_measure(PPT_ENTANGLED_P)
 
 
+def test_recovery_error_names_each_rejected_rule():
+    with pytest.raises(RecoveryError) as raised:
+        recover_atomic_measure(PPT_ENTANGLED_P)
+    message = str(raised.value)
+    assert message.startswith("no atomic measure met the residual bound 1.000e-09: ")
+    assert "radau rule, 4 atoms: negative weight at 0" in message
+    assert "gauss rule, 3 atoms: negative top mass" in message
+
+
+@pytest.mark.parametrize("length", [33, 49])
+@pytest.mark.parametrize("r", [2, 3])
+def test_recover_atom_mixtures_at_length(r, length):
+    # moments of atoms up to 3 span many orders of magnitude at these lengths
+    rng = np.random.default_rng(100 * r + length)
+    for _ in range(40):
+        nodes = rng.uniform(0.2, 3.0, r)
+        weights = rng.uniform(0.1, 1.0, r)
+        p = atoms_moments(nodes, weights, length - 1)
+        rec = recover_atomic_measure(p)
+        assert np.max(np.abs(rec.reproduced(length - 1) - p)) <= 1e-9 * p.max()
+
+
+def test_recovery_builds_at_most_two_recurrences(count_calls):
+    import dsym.moment
+
+    counts = count_calls(dsym.moment, "_recurrence_from_moments")
+    sequences = (
+        [2.0**k for k in range(49)],  # the rule pinned at 0 is accepted
+        atoms_moments([0.5, 2.0], [1.0, 1.0], 8, top_mass=0.3),  # then Gauss
+        PPT_ENTANGLED_P,  # both rules rejected
+    )
+    for p in sequences:
+        counts["_recurrence_from_moments"] = 0
+        try:
+            recover_atomic_measure(p)
+        except RecoveryError:
+            pass
+        assert counts["_recurrence_from_moments"] <= 2
+
+
 def test_separability_examples(ppt_entangled_spec):
     verdict = is_separable(ppt_entangled_spec)
     assert verdict.verdict == "entangled"

@@ -28,6 +28,9 @@ def test_spec_validation():
         StateSpec(2, 2, (1.0, 1.0))  # wrong length
     with pytest.raises(ValueError):
         StateSpec(2, 2, (1.0, -0.1, 1.0))
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            StateSpec(2, 2, (1.0, bad, 1.0))
 
 
 def test_restricted_dicke_examples():
