@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -59,15 +60,25 @@ def parse_spec_dict(data: dict) -> StateSpec:
             raise ValueError(f"spec file is missing required key {key!r}")
     N = _integer(data, "N")
     d = _integer(data, "d")
+    if not isinstance(data["p"], list):
+        raise ValueError(f"p must be a list of coefficients, got {data['p']!r}")
     p = []
     for entry in data["p"]:
-        if isinstance(entry, str):
-            p.append(float(Fraction(entry)))
-        elif isinstance(entry, (int, float)):
-            p.append(float(entry))
-        else:
+        if isinstance(entry, bool) or not isinstance(entry, (str, int, float)):
             raise ValueError(f"coefficient entries must be numbers or strings, got {entry!r}")
+        try:
+            p.append(float(Fraction(entry)) if isinstance(entry, str) else float(entry))
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ValueError(f"coefficient {entry!r} is not a finite number: {exc}") from exc
     return StateSpec(N=N, d=d, p=tuple(p))
+
+
+def _tolerance(text: str) -> float:
+    """Argparse type for tolerances: a finite number >= 0."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _complex_pairs(values) -> list[list[float]]:
@@ -255,13 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("spec_file", help="JSON file with keys N, d, p")
         p.add_argument(
             "--tol",
-            type=float,
+            type=_tolerance,
             default=None,
             help="override both the PSD band and the residual tolerance",
         )
         p.add_argument(
             "--residual-tol",
-            type=float,
+            type=_tolerance,
             default=None,
             help="override only the measure-recovery residual tolerance",
         )

@@ -10,6 +10,10 @@ are computed by the Pascal-style recurrence
     count(N, k) = sum_{j=0}^{min(k, d-1)} count(N-1, k-j)
 
 with count(1, k) = 1 for 0 <= k <= d-1.
+
+The dense layer reads every basis index from one cached table,
+``digit_table(N, d)``, whose row i holds the digits of index i; digit sums,
+digit multisets, product vectors and permuted indices all come from it.
 """
 
 from __future__ import annotations
@@ -93,16 +97,19 @@ def tuple_to_index(t: tuple[int, ...], d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def digit_sums(N: int, d: int) -> np.ndarray:
-    """Digit sum of every basis index 0..d**N-1, as a read-only int array.
-
-    Index r of the tuple is the r-th most significant base-d digit, matching
-    tuple_to_index.
-    """
+def digit_table(N: int, d: int) -> np.ndarray:
+    """Base-d digits of every basis index 0..d**N-1, most significant first, as
+    a read-only int array of shape (d**N, N): row tuple_to_index(t, d) is t."""
     _validate_nd(N, d)
-    idx = np.arange(d**N)
-    sums = np.zeros(d**N, dtype=np.int64)
-    for r in range(N):
-        sums += (idx // d ** (N - 1 - r)) % d
+    places = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    table = (np.arange(d**N, dtype=np.int64)[:, None] // places) % d
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def digit_sums(N: int, d: int) -> np.ndarray:
+    """Digit sum of every basis index 0..d**N-1, as a read-only int array."""
+    sums = digit_table(N, d).sum(axis=1)
     sums.setflags(write=False)
     return sums

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, SeparabilityVerdict, is_separable
-from .states import StateSpec, check_dense_cap, dense_cap
+from .states import StateSpec, check_dense_cap, dense_cap, product_powers
 
 TOP = "top"
 
@@ -37,19 +37,13 @@ class SeparableEnsemble:
     reconstruction_error: float | None = None
 
     def to_dense(self) -> np.ndarray:
-        dim = check_dense_cap(self.N, self.d)
-        rho = np.zeros((dim, dim), dtype=np.complex128)
-        for weight, phi in self.terms:
-            if isinstance(phi, str):
-                vec = np.zeros(self.d, dtype=np.complex128)
-                vec[self.d - 1] = 1.0
-            else:
-                vec = np.asarray(phi, dtype=np.complex128)
-            full = vec
-            for _ in range(self.N - 1):
-                full = np.kron(full, vec)
-            rho += weight * np.outer(full, full.conj())
-        return rho
+        """sum_t weight_t |phi_t><phi_t|^(tensor N), as one matrix product."""
+        check_dense_cap(self.N, self.d)
+        top = np.eye(self.d)[self.d - 1]
+        weights = np.array([weight for weight, _ in self.terms], dtype=float)
+        phis = [top if isinstance(phi, str) else phi for _, phi in self.terms]
+        vecs = product_powers(self.N, self.d, np.reshape(phis, (len(phis), self.d)))
+        return (vecs.T * weights) @ vecs.conj()
 
     def normalized(self) -> "SeparableEnsemble":
         """Convex combination of unit-trace product states (weights sum to 1)."""

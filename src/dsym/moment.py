@@ -25,7 +25,6 @@ from .ppt import (
     NOT_PSD,
     PSD,
     PsdCheck,
-    classify_min_eigenvalue,
     is_m_ppt,
 )
 from .states import StateSpec
@@ -76,10 +75,9 @@ def _lowest_eigenpair(H: np.ndarray, tol: float) -> tuple[PsdCheck, np.ndarray |
     """PSD status of a moment Hankel and the eigenvector of its lowest
     eigenvalue, from one symmetric eigendecomposition."""
     if H.size == 0:
-        return PsdCheck(PSD, None, None), None
+        return PsdCheck(PSD, None, None, None), None
     evals, evecs = np.linalg.eigh(H)
-    lam_min, lam_max = float(evals[0]), float(evals[-1])
-    return PsdCheck(classify_min_eigenvalue(lam_min, lam_max, tol), lam_min, lam_max), evecs[:, 0]
+    return PsdCheck.from_extremes(float(evals[0]), float(evals[-1]), tol), evecs[:, 0]
 
 
 def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentCheck:
@@ -98,9 +96,7 @@ def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentChe
         verdict = "yes"
 
     def _strict(chk: PsdCheck) -> bool:
-        if chk.lam_min is None:
-            return True
-        return chk.lam_min > tol * max(1.0, chk.lam_max)
+        return chk.lam_min is None or chk.lam_min > chk.band
 
     return MomentCheck(verdict, _strict(even) and _strict(odd), even, odd, even_vec, odd_vec)
 

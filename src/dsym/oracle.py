@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics import digit_table
 from .ppt import DEFAULT_PSD_TOL, classify_min_eigenvalue
 from .states import StateSpec, build_state, check_dense_cap, d_symmetrizer
 
@@ -55,14 +56,10 @@ def permutation_operator(sigma, d: int) -> np.ndarray:
     if sorted(sigma) != list(range(N)):
         raise ValueError(f"{sigma} is not a permutation of 0..{N - 1}")
     dim = check_dense_cap(N, d)
-    idx = np.arange(dim)
-    digits = [(idx // d ** (N - 1 - r)) % d for r in range(N)]
-    target = np.zeros(dim, dtype=np.int64)
-    for r in range(N):
-        # output digit at position sigma[r] is the input digit at position r
-        target += digits[r] * d ** (N - 1 - sigma[r])
+    # output digit at position sigma[r] is the input digit at position r
+    target = digit_table(N, d) @ d ** (N - 1 - np.array(sigma, dtype=np.int64))
     F = np.zeros((dim, dim), dtype=np.complex128)
-    F[target, idx] = 1.0
+    F[target, np.arange(dim)] = 1.0
     return F
 
 

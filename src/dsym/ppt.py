@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .combinatorics import count_compositions
-from .states import StateSpec, check_dense_cap, restricted_dicke_vector
+from .combinatorics import count_compositions, digit_table
+from .states import StateSpec, check_dense_cap
 
 DEFAULT_PSD_TOL = 1e-10
 
@@ -34,35 +34,42 @@ NOT_PSD = "not-psd"
 MARGINAL = "marginal"
 
 
-def classify_min_eigenvalue(lam_min: float, lam_max: float, tol_rel: float) -> str:
-    """Three-valued PSD status from the extreme eigenvalues of a matrix."""
-    band = tol_rel * max(1.0, lam_max)
-    if lam_min < -band:
-        return NOT_PSD
-    if lam_min < -band * NOISE_FRACTION:
-        return MARGINAL
-    return PSD
-
-
 @dataclass(frozen=True)
 class PsdCheck:
     status: str
     lam_min: float | None  # None for an empty matrix
     lam_max: float | None
+    band: float | None  # lam_min below -band is decisive; None for an empty matrix
+
+    @classmethod
+    def from_extremes(cls, lam_min: float, lam_max: float, tol_rel: float) -> "PsdCheck":
+        """Status and band tol_rel * max(1, lam_max) from the extreme eigenvalues."""
+        band = tol_rel * max(1.0, lam_max)
+        if lam_min < -band:
+            status = NOT_PSD
+        elif lam_min < -band * NOISE_FRACTION:
+            status = MARGINAL
+        else:
+            status = PSD
+        return cls(status, lam_min, lam_max, band)
+
+
+def classify_min_eigenvalue(lam_min: float, lam_max: float, tol_rel: float) -> str:
+    """Three-valued PSD status from the extreme eigenvalues of a matrix."""
+    return PsdCheck.from_extremes(lam_min, lam_max, tol_rel).status
 
 
 def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL) -> PsdCheck:
     """PSD status of a real symmetric matrix via eigendecomposition."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
-        return PsdCheck(PSD, None, None)
+        return PsdCheck(PSD, None, None, None)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
         raise ValueError("matrix is not symmetric")
     ev = np.linalg.eigvalsh(M)
-    lam_min, lam_max = float(ev[0]), float(ev[-1])
-    return PsdCheck(classify_min_eigenvalue(lam_min, lam_max, tol_rel), lam_min, lam_max)
+    return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel)
 
 
 @dataclass(frozen=True)
@@ -153,9 +160,8 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     for s in offsets:
         block = hankel_block(spec.p, N, d, m, s)
         chk = is_psd(block.matrix, tol)
-        band = None if chk.lam_max is None else tol * max(1.0, chk.lam_max)
         records.append(
-            BlockRecord(s, block.size, chk.lam_min, chk.lam_max, band, chk.status)
+            BlockRecord(s, block.size, chk.lam_min, chk.lam_max, chk.band, chk.status)
         )
     verdict = _verdict_from_statuses(r.status for r in records)
     return PPTReport(m=m, verdict=verdict, blocks=tuple(records))
@@ -164,32 +170,26 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
 def block_decomposition(spec: StateSpec, m: int) -> list[np.ndarray]:
     """Dense blocks A_s of the partial transpose over the first m parties.
 
-    A_s is assembled from tensor products |R_{m,d;k}> (x) |R_{N-m,d;k+s}> of
-    restricted Dicke vectors on the two party groups, with Hankel
-    coefficients p[k+l+s]; summing over s reproduces the dense partial
-    transpose, and distinct blocks have orthogonal supports.
+    With a and b an index's digit sums over the transposed and the kept group,
+    A_s[i, j] = p[a_i + b_j] = P_s[a_i, a_j] on the indices with b - a = s, and
+    0 elsewhere.  Summing over s reproduces the dense partial transpose, and
+    distinct blocks have orthogonal supports.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N - 1:
         raise ValueError(f"m must be in [1, {N - 1}], got {m}")
     dim = check_dense_cap(N, d)
     p = np.asarray(spec.p, dtype=float)
+    digits = digit_table(N, d)
+    a = digits[:, :m].sum(axis=1)
+    b = digits[:, m:].sum(axis=1)
+    offset = b - a
     out = []
     for s in range(-m * (d - 1), (N - m) * (d - 1) + 1):
-        block = hankel_block(p, N, d, m, s)
-        if block.size == 0:
-            out.append(np.zeros((dim, dim), dtype=np.complex128))
-            continue
-        vecs = np.column_stack(
-            [
-                np.kron(
-                    restricted_dicke_vector(m, d, k),
-                    restricted_dicke_vector(N - m, d, k + s),
-                )
-                for k in range(block.lo, block.hi + 1)
-            ]
-        )
-        out.append(vecs @ block.matrix.astype(np.complex128) @ vecs.conj().T)
+        idx = np.flatnonzero(offset == s)
+        block = np.zeros((dim, dim), dtype=np.complex128)
+        block[np.ix_(idx, idx)] = p[a[idx][:, None] + b[idx][None, :]]
+        out.append(block)
     return out
 
 

@@ -6,6 +6,11 @@ rows and columns indexed by the big-endian digit convention of
 (default d**N <= 4096, override with the DSYM_DENSE_CAP environment
 variable): the dense path exists for verification, not production; the
 Hankel classification path in the ppt/moment modules has no cap.
+
+Dense operators are built by two kernels over ``combinatorics.digit_table``:
+``digit_sum_operator`` gives sum_k v_k |R_k><R_k| (states, the D-symmetrizer,
+the V/U witnesses) and ``product_powers`` the tensor powers phi^(tensor N)
+(product states, separable ensembles).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import count_compositions, digit_sums
+from .combinatorics import count_compositions, digit_sums, digit_table
 
 DEFAULT_DENSE_CAP = 4096
 
@@ -94,15 +99,35 @@ def dual_restricted_dicke(N: int, d: int, k: int) -> np.ndarray:
     return restricted_dicke_vector(N, d, k) / count_compositions(N, k, d)
 
 
+def digit_sum_operator(N: int, d: int, values) -> np.ndarray:
+    """Dense sum_k values[k] |R_k><R_k| over the restricted Dicke vectors R_k:
+    entry (i, j) is values[k] when both digit sums are k, else 0."""
+    check_dense_cap(N, d)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (N * (d - 1) + 1,):
+        raise ValueError(f"expected one value per digit sum 0..{N * (d - 1)}, got {values.shape}")
+    sums = digit_sums(N, d)
+    return np.multiply(sums[:, None] == sums[None, :], values[sums][:, None], dtype=np.complex128)
+
+
+def product_powers(N: int, d: int, phis) -> np.ndarray:
+    """Row t is the product vector phis[t]^(tensor N), for a (T, d) array of
+    single-party vectors: entry i multiplies phis[t] at each digit of i."""
+    check_dense_cap(N, d)
+    phis = np.asarray(phis, dtype=np.complex128)
+    if phis.ndim != 2 or phis.shape[1] != d:
+        raise ValueError(f"expected a (T, {d}) array of single-party vectors, got {phis.shape}")
+    vecs = np.ones((len(phis), d**N), dtype=np.complex128)
+    for column in digit_table(N, d).T:
+        vecs *= phis[:, column]
+    return vecs
+
+
 @lru_cache(maxsize=None)
 def _multiset_orbits(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Group basis indices by digit multiset: (orbit id per index, orbit sizes)."""
-    dim = d**N
-    idx = np.arange(dim)
-    digits = np.stack([(idx // d ** (N - 1 - r)) % d for r in range(N)], axis=1)
-    digits.sort(axis=1)
     _, orbit_id, sizes = np.unique(
-        digits, axis=0, return_inverse=True, return_counts=True
+        np.sort(digit_table(N, d), axis=1), axis=0, return_inverse=True, return_counts=True
     )
     orbit_id.setflags(write=False)
     sizes.setflags(write=False)
@@ -129,13 +154,7 @@ def d_symmetrizer(N: int, d: int) -> np.ndarray:
     Dicke vectors.
     """
     check_dense_cap(N, d)
-    sums = digit_sums(N, d)
-    counts = np.array(
-        [count_compositions(N, k, d) for k in range(N * (d - 1) + 1)], dtype=float
-    )
-    same = sums[:, None] == sums[None, :]
-    inv = (1.0 / counts[sums])[:, None]
-    return np.where(same, inv, 0.0).astype(np.complex128)
+    return digit_sum_operator(N, d, 1.0 / np.bincount(digit_sums(N, d)))
 
 
 def build_state(spec: StateSpec, normalize: bool = False) -> np.ndarray:
@@ -145,11 +164,7 @@ def build_state(spec: StateSpec, normalize: bool = False) -> np.ndarray:
     is sum_k p[k] * count_compositions(N, k, d).
     """
     check_dense_cap(spec.N, spec.d)
-    sums = digit_sums(spec.N, spec.d)
-    p = np.asarray(spec.p, dtype=float)
-    rho = np.where(sums[:, None] == sums[None, :], p[sums][:, None], 0.0).astype(
-        np.complex128
-    )
+    rho = digit_sum_operator(spec.N, spec.d, spec.p)
     if normalize:
         tr = np.trace(rho).real
         if tr <= 0:
@@ -168,15 +183,11 @@ def sigma_z(N: int, d: int, z: complex) -> np.ndarray:
     # unit vector with geometrically graded amplitudes (1, z, ..., z^(d-1))
     xi = np.array([complex(z) ** i for i in range(d)])
     xi /= np.linalg.norm(xi)
-    vec = xi
-    for _ in range(N - 1):
-        vec = np.kron(vec, xi)
+    vec = product_powers(N, d, [xi])[0]
     return np.outer(vec, vec.conj())
 
 
 def top_product_state(N: int, d: int) -> np.ndarray:
     """|d-1><d-1| tensored N times, as a dense matrix."""
-    dim = check_dense_cap(N, d)
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    rho[dim - 1, dim - 1] = 1.0
-    return rho
+    check_dense_cap(N, d)
+    return digit_sum_operator(N, d, np.eye(N * (d - 1) + 1)[-1])

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .combinatorics import digit_sums
 from .moment import MomentCheck, is_generalized_moment_solution
 from .ppt import DEFAULT_PSD_TOL, NOT_PSD
-from .states import StateSpec, check_dense_cap, dual_restricted_dicke
+from .states import StateSpec, check_dense_cap, digit_sum_operator
 
 
 def family_v_length(N: int, d: int) -> int:
@@ -51,24 +52,14 @@ class WitnessSpec:
 
 
 def _dual_projector_sum(coeffs: np.ndarray, N: int, d: int, shift: int) -> np.ndarray:
-    """sum_{k,l} c_k conj(c_l) |dual_{k+l+shift}><dual_{k+l+shift}|."""
-    dim = check_dense_cap(N, d)
-    top = N * (d - 1)
-    # collapse the double sum: the dual projector for degree j carries the
-    # (real) coefficient sum over all (k, l) with k + l + shift = j
-    weights = np.zeros(top + 1)
-    q = len(coeffs)
-    for k in range(q):
-        for l in range(q):
-            j = k + l + shift
-            weights[j] += (coeffs[k] * np.conj(coeffs[l])).real
-    W = np.zeros((dim, dim), dtype=np.complex128)
-    for j, a in enumerate(weights):
-        if a == 0.0:
-            continue
-        dual = dual_restricted_dicke(N, d, j)
-        W += a * np.outer(dual, dual.conj())
-    return W
+    """sum_{k,l} c_k conj(c_l) |dual_{k+l+shift}><dual_{k+l+shift}|: one real
+    weight per degree j = k + l + shift (the convolution of c with conj(c)),
+    and |dual_j><dual_j| = |R_j><R_j| / count_j^2."""
+    check_dense_cap(N, d)
+    counts = np.bincount(digit_sums(N, d))
+    weights = np.zeros(len(counts))
+    weights[shift : shift + 2 * len(coeffs) - 1] = np.convolve(coeffs, np.conj(coeffs)).real
+    return digit_sum_operator(N, d, weights / counts**2)
 
 
 def witness_V(coeffs, N: int, d: int) -> np.ndarray:

@@ -46,6 +46,9 @@ def test_parse_rejects_bad_input():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             parse_spec_dict({"N": 2, "d": 2, "p": [1.0, bad, 1.0]})
+    for p in ("101", {"1": 0, "0": 1, "2": 3}, [1.0, "1/0", 1.0], [1.0, "1e400", 1.0], [True, False, True]):
+        with pytest.raises(ValueError):
+            parse_spec_dict({"N": 2, "d": 2, "p": p})
     for N, d in ((2.9, 2), (2, 2.5), (True, 2), (2, True)):
         with pytest.raises(ValueError):
             parse_spec_dict({"N": N, "d": d, "p": [1.0, 1.0, 1.0]})
@@ -84,7 +87,7 @@ def test_check_ppt_parse_error_exit_3(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", '"1/0"', '"1e400"'])
 def test_non_finite_coefficient_exit_3(tmp_path, capsys, bad):
     path = tmp_path / "spec.json"
     path.write_text(f'{{"N": 2, "d": 2, "p": [1, {bad}, 1]}}')
@@ -103,6 +106,18 @@ def test_usage_errors_exit_3_not_2(tmp_path, capsys):
     path = write_spec(tmp_path, COUNTEREXAMPLE)
     assert main(["check-ppt", path]) == 3  # missing --m
     assert main(["no-such-command"]) == 3
+    entangled = write_spec(tmp_path, {"N": 2, "d": 2, "p": [1, 2, 1]}, "entangled.json")
+    separable = write_spec(tmp_path, {"N": 2, "d": 2, "p": [1, 0.5, 0.25]}, "separable.json")
+    capsys.readouterr()
+    for argv in (
+        ["check-separable", entangled, "--certificate", "--tol", "nan"],
+        ["check-separable", entangled, "--certificate", "--tol", "inf"],
+        ["check-ppt", entangled, "--m", "1", "--tol", "nan"],
+        ["check-separable", separable, "--certificate", "--tol", "-1"],
+        ["check-separable", separable, "--certificate", "--residual-tol", "-inf"],
+    ):
+        assert main(argv) == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_m_out_of_range_exit_3(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 from dsym.combinatorics import (
     count_compositions,
     digit_sums,
+    digit_table,
     enumerate_tuples,
     tuple_to_index,
 )
@@ -106,5 +107,7 @@ def test_count_rejects_overflow_scale():
 def test_digit_sums_consistency():
     for N, d in [(2, 2), (3, 3), (4, 2)]:
         sums = digit_sums(N, d)
+        table = digit_table(N, d)
         for t in itertools.product(range(d), repeat=N):
             assert sums[tuple_to_index(t, d)] == sum(t)
+            assert tuple(table[tuple_to_index(t, d)]) == t

@@ -1,11 +1,15 @@
 """Separable-ensemble construction and dense reconstruction."""
 
+import functools
+
 import numpy as np
 import pytest
 
 import dsym.moment
 from dsym.decompose import (
+    TOP,
     NotSeparableError,
+    SeparableEnsemble,
     geometric_ensemble,
     separable_ensemble,
 )
@@ -38,6 +42,23 @@ def test_geometric_ensemble_reconstructs(N, d, t):
     assert len(ens.terms) == N * (d - 1) + 1
     rho = build_state(StateSpec(N, d, geometric_p(N, d, t)))
     assert np.linalg.norm(ens.to_dense() - rho) < 1e-10
+
+
+@pytest.mark.parametrize("N,d", [(3, 2), (2, 3), (3, 4)])
+def test_to_dense_matches_kron_products(N, d):
+    # random complex, non-geometric vectors: entries depend on digit multisets,
+    # not only on digit sums
+    rng = np.random.default_rng(7)
+    phis = rng.normal(size=(3, d)) + 1j * rng.normal(size=(3, d))
+    terms = [(float(w), phi) for w, phi in zip(rng.uniform(0.1, 1.0, 3), phis)]
+    terms.append((0.4, TOP))
+    expected = 0
+    for weight, phi in terms:
+        vec = np.eye(d)[d - 1] if isinstance(phi, str) else phi
+        v = functools.reduce(np.kron, [vec] * N)
+        expected = expected + weight * np.outer(v, v.conj())
+    dense = SeparableEnsemble(N, d, tuple(terms)).to_dense()
+    np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-12)
 
 
 def test_ensemble_terms_permutation_symmetric():
