@@ -29,7 +29,7 @@ from .moment import (
     is_separable,
 )
 from .oracle import dense_ppt_check
-from .ppt import DEFAULT_PSD_TOL, PPTReport, is_m_ppt
+from .ppt import DEFAULT_PSD_TOL, PPT_WORDS, PPTReport, is_m_ppt
 from .states import StateSpec, build_state
 from .witnesses import WitnessSpec
 
@@ -47,9 +47,11 @@ def parse_spec_file(path: str) -> StateSpec:
 
 def _integer(data: dict, key: str) -> int:
     value = data[key]
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return value
 
 
 def parse_spec_dict(data: dict) -> StateSpec:
@@ -163,18 +165,16 @@ def _base_report(command: str, spec: StateSpec, psd_tol: float, residual_tol: fl
 
 
 def _emit(report: dict, started: float) -> None:
+    """Write strict JSON or nothing: a non-finite value raises ValueError."""
     report["timings"] = {"total_s": time.perf_counter() - started}
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 _VERDICT_EXIT = {
     "ppt": EXIT_POSITIVE,
     "separable": EXIT_POSITIVE,
-    "psd": EXIT_POSITIVE,
     "not-ppt": EXIT_NEGATIVE,
     "entangled": EXIT_NEGATIVE,
-    "not-psd": EXIT_NEGATIVE,
     "marginal": EXIT_MARGINAL,
 }
 
@@ -227,13 +227,11 @@ def cmd_oracle_verify(args, psd_tol: float, residual_tol: float) -> int:
         fast = is_m_ppt(spec, m, psd_tol)
         oracle["fast_path_verdict"] = fast.verdict
         oracle["agreement"] = (
-            None
-            if "marginal" in (fast.verdict, status)
-            else (fast.verdict == "ppt") == (status == "psd")
+            None if "marginal" in (fast.verdict, status) else fast.verdict == PPT_WORDS[status]
         )
     report["oracle"] = oracle
     _emit(report, started)
-    return _VERDICT_EXIT[status]
+    return _VERDICT_EXIT[PPT_WORDS[status]]
 
 
 def cmd_decompose(args, psd_tol: float, residual_tol: float) -> int:

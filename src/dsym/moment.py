@@ -15,7 +15,7 @@ tolerance is the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,10 @@ from .ppt import (
     NOT_PSD,
     PSD,
     PsdCheck,
+    hankel,
     is_m_ppt,
+    is_psd,
+    worst_status,
 )
 from .states import StateSpec
 
@@ -47,58 +50,31 @@ def moment_hankels(p) -> tuple[np.ndarray, np.ndarray]:
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("expected a nonempty 1-d coefficient sequence")
     n = len(p) - 1
-    n0 = n // 2
-    n1 = (n - 1) // 2
-    even_idx = np.arange(n0 + 1)
-    h_even = p[even_idx[:, None] + even_idx[None, :]]
-    if n1 < 0:
-        h_odd = np.zeros((0, 0))
-    else:
-        odd_idx = np.arange(n1 + 1)
-        h_odd = p[odd_idx[:, None] + odd_idx[None, :] + 1]
-    return h_even, h_odd
+    return hankel(p, n // 2 + 1, 0), hankel(p, (n - 1) // 2 + 1, 1)
+
+
+# Feasibility verdict of each joint status of the two moment Hankels.
+MOMENT_WORDS = {PSD: "yes", NOT_PSD: "no", MARGINAL: "marginal"}
 
 
 @dataclass(frozen=True)
 class MomentCheck:
     verdict: str  # "yes" | "no" | "marginal"
-    strict: bool  # both Hankels strictly positive definite
-    even: PsdCheck
+    even: PsdCheck  # each with its lowest eigenvector in .vec (None when empty)
     odd: PsdCheck
-    # unit eigenvector of each Hankel's lowest eigenvalue; None when empty.
-    # Left out of ==, which cannot compare arrays; p determines them anyway.
-    even_vec: np.ndarray | None = field(default=None, compare=False, repr=False)
-    odd_vec: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-
-def _lowest_eigenpair(H: np.ndarray, tol: float) -> tuple[PsdCheck, np.ndarray | None]:
-    """PSD status of a moment Hankel and the eigenvector of its lowest
-    eigenvalue, from one symmetric eigendecomposition."""
-    if H.size == 0:
-        return PsdCheck(PSD, None, None, None), None
-    evals, evecs = np.linalg.eigh(H)
-    return PsdCheck.from_extremes(float(evals[0]), float(evals[-1]), tol), evecs[:, 0]
+    @property
+    def strict(self) -> bool:
+        """Both Hankels strictly positive definite."""
+        return self.even.strict and self.odd.strict
 
 
 def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentCheck:
     """Feasibility of the moment sequence p, deciding each moment Hankel with
     a single eigendecomposition whose lowest eigenvector is kept for the
     witness."""
-    h_even, h_odd = moment_hankels(p)
-    even, even_vec = _lowest_eigenpair(h_even, tol)
-    odd, odd_vec = _lowest_eigenpair(h_odd, tol)
-    statuses = {even.status, odd.status}
-    if NOT_PSD in statuses:
-        verdict = "no"
-    elif MARGINAL in statuses:
-        verdict = "marginal"
-    else:
-        verdict = "yes"
-
-    def _strict(chk: PsdCheck) -> bool:
-        return chk.lam_min is None or chk.lam_min > chk.band
-
-    return MomentCheck(verdict, _strict(even) and _strict(odd), even, odd, even_vec, odd_vec)
+    even, odd = (is_psd(h, tol, vector=True) for h in moment_hankels(p))
+    return MomentCheck(MOMENT_WORDS[worst_status((even.status, odd.status))], even, odd)
 
 
 @dataclass(frozen=True)
@@ -183,7 +159,7 @@ def _clean_atoms(nodes: np.ndarray, weights: np.ndarray, n: int, scale: float):
     w * max(1, t)^n is negligible against the data, merge duplicates; rejects
     the rule if a kept node is decisively negative."""
     node_clip = 1e-8 * (1.0 + float(np.max(np.abs(nodes), initial=0.0)))
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN is kept, then rejected
         largest = weights * np.maximum(nodes, 1.0) ** n
     merged: dict[float, float] = {}
     for t, w, top in zip(nodes, weights, largest):
@@ -201,7 +177,10 @@ def _evaluate_candidate(atom_list, p: np.ndarray, bound: float) -> MeasureAtoms:
     surplus into M when nonnegative."""
     n = len(p) - 1
     candidate = MeasureAtoms(tuple(atom_list), 0.0, 0.0)
-    mom = candidate.moments(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mom = candidate.moments(n + 1)
+    if not np.all(np.isfinite(mom)):
+        raise _Rejected(len(atom_list), "moments overflow")
     top_mass = p[n] - mom[n]
     if top_mass < -bound:
         raise _Rejected(len(atom_list), f"negative top mass {top_mass:.3e}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combinatorics import digit_table
-from .ppt import DEFAULT_PSD_TOL, classify_min_eigenvalue
+from .ppt import DEFAULT_PSD_TOL, PsdCheck
 from .states import StateSpec, build_state, check_dense_cap, d_symmetrizer
 
 
@@ -77,7 +77,7 @@ def dense_ppt_check(rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL)
     pt = partial_transpose(rho, mask, d)
     ev = np.linalg.eigvalsh(pt)
     lam_min, lam_max = float(ev[0]), float(ev[-1])
-    return classify_min_eigenvalue(lam_min, lam_max, tol), lam_min, lam_max
+    return PsdCheck.from_extremes(lam_min, lam_max, tol).status, lam_min, lam_max
 
 
 @dataclass(frozen=True)

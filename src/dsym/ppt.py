@@ -7,8 +7,10 @@ when a small, explicitly known family of those Hankel blocks is positive
 semidefinite, so the fast path never touches a d**N-dimensional matrix and
 has no size cap.
 
-PSD decisions are made by full symmetric eigendecomposition with a relative
-tolerance band (leading principal minors are invalid for semidefiniteness).
+Every Hankel matrix of the package, the blocks P_s here and the two moment
+Hankels of `moment`, is built by `hankel` and decided by `is_psd`: one full
+symmetric eigendecomposition with a relative tolerance band (leading
+principal minors are invalid for semidefiniteness).
 A min eigenvalue below -band is decisive; inside the band, values that are
 too negative to be rounding of an exact zero (below -band/100) are surfaced
 as "marginal" rather than silently coerced either way.
@@ -34,15 +36,28 @@ NOT_PSD = "not-psd"
 MARGINAL = "marginal"
 
 
+def worst_status(statuses) -> str:
+    """not-psd if any status is, else marginal if any is, else psd."""
+    statuses = set(statuses)
+    return next((s for s in (NOT_PSD, MARGINAL) if s in statuses), PSD)
+
+
+# The m-PPT verdict names each joint block status.
+PPT_WORDS = {PSD: "ppt", NOT_PSD: "not-ppt", MARGINAL: "marginal"}
+
+
 @dataclass(frozen=True)
 class PsdCheck:
     status: str
     lam_min: float | None  # None for an empty matrix
     lam_max: float | None
     band: float | None  # lam_min below -band is decisive; None for an empty matrix
+    # unit eigenvector of lam_min when asked for; None otherwise or when empty.
+    # Left out of ==, which cannot compare arrays; the matrix determines it.
+    vec: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_extremes(cls, lam_min: float, lam_max: float, tol_rel: float) -> "PsdCheck":
+    def from_extremes(cls, lam_min: float, lam_max: float, tol_rel: float, vec=None) -> "PsdCheck":
         """Status and band tol_rel * max(1, lam_max) from the extreme eigenvalues."""
         band = tol_rel * max(1.0, lam_max)
         if lam_min < -band:
@@ -51,25 +66,44 @@ class PsdCheck:
             status = MARGINAL
         else:
             status = PSD
-        return cls(status, lam_min, lam_max, band)
+        return cls(status, lam_min, lam_max, band, vec)
+
+    @property
+    def margin(self) -> float | None:
+        """Distance of the minimum eigenvalue above the decisive-negative
+        threshold -band; negative means the matrix fails PSD."""
+        if self.lam_min is None:
+            return None
+        return self.lam_min + self.band
+
+    @property
+    def strict(self) -> bool:
+        """Positive definite beyond the band (an empty matrix counts)."""
+        return self.lam_min is None or self.lam_min > self.band
 
 
-def classify_min_eigenvalue(lam_min: float, lam_max: float, tol_rel: float) -> str:
-    """Three-valued PSD status from the extreme eigenvalues of a matrix."""
-    return PsdCheck.from_extremes(lam_min, lam_max, tol_rel).status
-
-
-def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL) -> PsdCheck:
-    """PSD status of a real symmetric matrix via eigendecomposition."""
+def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL, vector: bool = False) -> PsdCheck:
+    """PSD status of a real symmetric matrix from one eigendecomposition;
+    with vector=True the check also keeps the lowest eigenvector."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return PsdCheck(PSD, None, None, None)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
+    exact = (M == M.T).all()  # as every Hankel is; skips the costlier test
+    if not exact and np.max(np.abs(M - M.T)) > 1e-12 * max(1.0, np.max(np.abs(M))):
         raise ValueError("matrix is not symmetric")
+    if vector:
+        ev, vecs = np.linalg.eigh(M)
+        return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel, vecs[:, 0])
     ev = np.linalg.eigvalsh(M)
     return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel)
+
+
+def hankel(p, size: int, shift: int) -> np.ndarray:
+    """The size x size Hankel matrix (p[k + l + shift]) of a sequence."""
+    idx = np.arange(size)
+    return np.asarray(p, dtype=float)[idx[:, None] + idx[None, :] + shift]
 
 
 @dataclass(frozen=True)
@@ -86,40 +120,30 @@ class HankelBlock:
         return max(0, self.hi - self.lo + 1)
 
 
+def _block_range(N: int, d: int, m: int, s: int) -> tuple[int, int]:
+    """Rows lo..hi of block s (empty when lo > hi)."""
+    return max(0, -s), min(m * (d - 1), (N - m) * (d - 1) - s)
+
+
 def hankel_block(p, N: int, d: int, m: int, s: int) -> HankelBlock:
     """Build the Hankel block for digit-sum offset s between the transposed
     group of m parties and the remaining N - m."""
-    p = np.asarray(p, dtype=float)
     if not 1 <= m <= N - 1:
         raise ValueError(f"m must be in [1, {N - 1}], got {m}")
     if not -m * (d - 1) <= s <= (N - m) * (d - 1):
         raise ValueError(
             f"offset s={s} out of range [{-m * (d - 1)}, {(N - m) * (d - 1)}]"
         )
-    lo = max(0, -s)
-    hi = min(m * (d - 1), (N - m) * (d - 1) - s)
-    if lo > hi:
-        return HankelBlock(s, lo, hi, np.zeros((0, 0)))
-    idx = np.arange(lo, hi + 1)
-    return HankelBlock(s, lo, hi, p[idx[:, None] + idx[None, :] + s])
+    lo, hi = _block_range(N, d, m, s)
+    return HankelBlock(s, lo, hi, hankel(p, max(0, hi - lo + 1), 2 * lo + s))
 
 
-@dataclass(frozen=True)
-class BlockRecord:
+@dataclass(frozen=True, kw_only=True)
+class BlockRecord(PsdCheck):
+    """PSD check of the Hankel block P_s, which has `size` rows."""
+
     s: int
     size: int
-    lam_min: float | None
-    lam_max: float | None
-    band: float | None
-    status: str
-
-    @property
-    def margin(self) -> float | None:
-        """Distance of the minimum eigenvalue above the decisive-negative
-        threshold -band; negative means the block fails PSD."""
-        if self.lam_min is None:
-            return None
-        return self.lam_min + self.band
 
 
 @dataclass(frozen=True)
@@ -131,15 +155,6 @@ class PPTReport:
     @property
     def checked(self) -> tuple[int, ...]:
         return tuple(b.s for b in self.blocks)
-
-
-def _verdict_from_statuses(statuses) -> str:
-    statuses = list(statuses)
-    if NOT_PSD in statuses:
-        return "not-ppt"
-    if MARGINAL in statuses:
-        return "marginal"
-    return "ppt"
 
 
 def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport:
@@ -160,10 +175,8 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     for s in offsets:
         block = hankel_block(spec.p, N, d, m, s)
         chk = is_psd(block.matrix, tol)
-        records.append(
-            BlockRecord(s, block.size, chk.lam_min, chk.lam_max, chk.band, chk.status)
-        )
-    verdict = _verdict_from_statuses(r.status for r in records)
+        records.append(BlockRecord(**vars(chk), s=s, size=block.size))
+    verdict = PPT_WORDS[worst_status(r.status for r in records)]
     return PPTReport(m=m, verdict=verdict, blocks=tuple(records))
 
 
@@ -199,12 +212,11 @@ def hankel_congruence_scales(N: int, d: int, m: int, s: int) -> np.ndarray:
     A_s equals D P_s D with D = diag(sqrt of these), so P_s and A_s restricted
     to its support share eigenvalue signs.
     """
-    block_lo = max(0, -s)
-    block_hi = min(m * (d - 1), (N - m) * (d - 1) - s)
+    lo, hi = _block_range(N, d, m, s)
     return np.array(
         [
             count_compositions(m, k, d) * count_compositions(N - m, k + s, d)
-            for k in range(block_lo, block_hi + 1)
+            for k in range(lo, hi + 1)
         ],
         dtype=float,
     )

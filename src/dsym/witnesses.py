@@ -16,7 +16,7 @@ import numpy as np
 
 from .combinatorics import digit_sums
 from .moment import MomentCheck, is_generalized_moment_solution
-from .ppt import DEFAULT_PSD_TOL, NOT_PSD
+from .ppt import DEFAULT_PSD_TOL, NOT_PSD, hankel
 from .states import StateSpec, check_dense_cap, digit_sum_operator
 
 
@@ -82,6 +82,16 @@ def witness_U(coeffs, N: int, d: int) -> np.ndarray:
     return _dual_projector_sum(coeffs, N, d, shift=1)
 
 
+# Degree shift of each family's Hankel form: p_{k+l} for V, p_{k+l+1} for U.
+_SHIFT = {"V": 0, "U": 1}
+
+
+def _hankel_form(coeffs, p, shift: int) -> float:
+    """sum_{k,l} conj(c_k) c_l p_{k+l+shift}."""
+    c = np.asarray(coeffs, dtype=np.complex128)
+    return float((c.conj() @ hankel(p, len(c), shift) @ c).real)
+
+
 def witness_value_fast(w: WitnessSpec, spec: StateSpec) -> float:
     """Expectation value of the witness against the state, evaluated as the
     Hankel quadratic form on the coefficient sequence (no dense matrices)."""
@@ -90,12 +100,7 @@ def witness_value_fast(w: WitnessSpec, spec: StateSpec) -> float:
             f"witness is for (N={w.N}, d={w.d}) but state has "
             f"(N={spec.N}, d={spec.d})"
         )
-    c = np.asarray(w.coeffs, dtype=np.complex128)
-    p = np.asarray(spec.p, dtype=float)
-    shift = 0 if w.family == "V" else 1
-    idx = np.arange(len(c))
-    H = p[idx[:, None] + idx[None, :] + shift]
-    return float((c.conj() @ H @ c).real)
+    return _hankel_form(w.coeffs, spec.p, _SHIFT[w.family])
 
 
 def _unit_sign_fixed(vec: np.ndarray) -> np.ndarray:
@@ -113,22 +118,20 @@ def witness_from_check(spec: StateSpec, check: MomentCheck) -> WitnessSpec | Non
     decisively non-PSD moment Hankels in `check` (the even one on a tie), or
     None when neither is decisively non-PSD."""
     candidates = [
-        (chk.lam_min, family, vec)
-        for family, chk, vec in (
-            ("V", check.even, check.even_vec),
-            ("U", check.odd, check.odd_vec),
-        )
+        (chk.lam_min, family, chk.vec)
+        for family, chk in (("V", check.even), ("U", check.odd))
         if chk.status == NOT_PSD
     ]
     if not candidates:
         return None
-    lam_min, family, vec = min(candidates, key=lambda c: c[0])
+    _, family, vec = min(candidates, key=lambda c: c[0])
+    coeffs = tuple(_unit_sign_fixed(vec.astype(np.complex128)))
     return WitnessSpec(
         family=family,
-        coeffs=tuple(_unit_sign_fixed(vec.astype(np.complex128))),
+        coeffs=coeffs,
         N=spec.N,
         d=spec.d,
-        witness_value=lam_min,
+        witness_value=_hankel_form(coeffs, spec.p, _SHIFT[family]),
     )
 
 
@@ -140,6 +143,7 @@ def find_detecting_witness(
 
     The coefficients are the unit eigenvector of the most negative moment
     Hankel eigenvalue (sign fixed so the first nonzero component is
-    positive); the witness value equals that eigenvalue.
+    positive); the witness value is the Hankel quadratic form of those
+    coefficients, which equals that eigenvalue up to rounding.
     """
     return witness_from_check(spec, is_generalized_moment_solution(spec.p, tol))

@@ -1,10 +1,12 @@
 """CLI surface: JSON parsing, report schema, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dsym.cli
 import dsym.moment
 from dsym.cli import main, parse_spec_dict
 from dsym.moment import RecoveryError
@@ -24,10 +26,14 @@ def write_spec(tmp_path, data, name="spec.json"):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out) if out.strip() else None)
+    return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None)
 
 
 def test_rational_strings_parse_exactly():
@@ -49,7 +55,7 @@ def test_parse_rejects_bad_input():
     for p in ("101", {"1": 0, "0": 1, "2": 3}, [1.0, "1/0", 1.0], [1.0, "1e400", 1.0], [True, False, True]):
         with pytest.raises(ValueError):
             parse_spec_dict({"N": 2, "d": 2, "p": p})
-    for N, d in ((2.9, 2), (2, 2.5), (True, 2), (2, True)):
+    for N, d in ((2.9, 2), (2, 2.5), (True, 2), (2, True), ([2], 2), (None, 2), ("2", 2), (2, "2")):
         with pytest.raises(ValueError):
             parse_spec_dict({"N": N, "d": d, "p": [1.0, 1.0, 1.0]})
     assert parse_spec_dict({"N": 3, "d": 2.0, "p": [1.0] * 4}).d == 2
@@ -95,6 +101,26 @@ def test_non_finite_coefficient_exit_3(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "N, d", [([2], 2), (None, 2), ("2", 2), (2, "2")], ids=["list", "null", "string-N", "string-d"]
+)
+def test_non_integer_dimension_exit_3(tmp_path, capsys, N, d):
+    path = write_spec(tmp_path, {"N": N, "d": d, "p": [1, 0.5, 0.25]})
+    assert main(["check-separable", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be an integer" in captured.err
+
+
+def test_non_finite_report_prints_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dsym.cli, "dense_ppt_check", lambda *args: ("psd", float("nan"), 1.0))
+    path = write_spec(tmp_path, {"N": 2, "d": 2, "p": [1, 1, 1]})
+    assert main(["oracle-verify", path, "--mask", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "JSON" in captured.err
 
 
 def test_check_ppt_missing_file_exit_3(tmp_path, capsys):
@@ -223,6 +249,21 @@ def test_geometric_certificate_at_large_n(tmp_path, capsys, N):
     assert measure["top_mass"] == 0.0
 
 
+def test_overflowing_measure_is_refused(tmp_path, capsys):
+    # a separable spec whose only rule with small residual has NaN moments
+    path = str(Path(__file__).parent / "data" / "overflowing_rule.json")
+    code, report = run(capsys, ["check-separable", path, "--certificate"])
+    assert code == 0
+    assert report["separability"]["verdict"] == "separable"
+    assert report["certificate"] is None
+    assert "moments overflow" in report["certificate_reason"]
+
+    assert main(["decompose", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no atomic measure met the residual bound")
+
+
 def test_oracle_verify_counterexample_masks(tmp_path, capsys):
     path = write_spec(tmp_path, COUNTEREXAMPLE)
     code, report = run(capsys, ["oracle-verify", path, "--mask", "100"])
@@ -235,6 +276,15 @@ def test_oracle_verify_counterexample_masks(tmp_path, capsys):
     code2, report2 = run(capsys, ["oracle-verify", path, "--mask", "001"])
     assert code2 == code
     assert abs(report2["oracle"]["lam_min"] - oracle["lam_min"]) < 1e-12
+
+
+def test_oracle_verify_not_psd_exit_1(tmp_path, capsys):
+    path = write_spec(tmp_path, {"N": 2, "d": 2, "p": [1, 2, 1]})
+    code, report = run(capsys, ["oracle-verify", path, "--mask", "10"])
+    assert code == 1
+    assert report["oracle"]["status"] == "not-psd"
+    assert report["oracle"]["fast_path_verdict"] == "not-ppt"
+    assert report["oracle"]["agreement"] is True
 
 
 def test_oracle_verify_all_ones(tmp_path, capsys):

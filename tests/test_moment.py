@@ -1,5 +1,8 @@
 """Moment-problem feasibility, measure recovery, and the separability verdict."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,18 @@ def test_recovery_error_names_each_rejected_rule():
     assert message.startswith("no atomic measure met the residual bound 1.000e-09: ")
     assert "radau rule, 4 atoms: negative weight at 0" in message
     assert "gauss rule, 3 atoms: negative top mass" in message
+
+
+def test_recovery_rejects_overflowing_rule():
+    # a separable spec of length 161 whose rule pinned at 0 has an atom of
+    # weight exactly 0 far out (node ~1.2e3): its moments are 0 * inf = NaN,
+    # which no comparison with the bound rejects
+    spec = json.loads((Path(__file__).parent / "data" / "overflowing_rule.json").read_text())
+    with pytest.raises(RecoveryError) as raised:
+        recover_atomic_measure(spec["p"])
+    message = str(raised.value)
+    assert "radau rule, 7 atoms: moments overflow" in message
+    assert "gauss rule, 6 atoms: residual" in message
 
 
 @pytest.mark.parametrize("length", [33, 49])

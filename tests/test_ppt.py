@@ -6,10 +6,12 @@ import pytest
 from dsym.oracle import dense_ppt_check, partial_transpose
 from dsym.ppt import (
     block_decomposition,
+    hankel,
     hankel_block,
     hankel_congruence_scales,
     is_m_ppt,
     is_psd,
+    worst_status,
 )
 from dsym.states import StateSpec, build_state
 
@@ -68,6 +70,30 @@ def test_is_psd_examples():
     p = PPT_ENTANGLED_P
     h4 = np.array([[p[i + j] for j in range(4)] for i in range(4)])
     assert is_psd(h4).status == "not-psd"
+
+
+def test_is_psd_vector_margin_strict():
+    M = np.array([[2.0, 1.0], [1.0, 2.0]])
+    chk = is_psd(M, vector=True)
+    assert chk.vec is not None and is_psd(M).vec is None
+    np.testing.assert_allclose(M @ chk.vec, chk.lam_min * chk.vec, atol=1e-14)
+    assert np.linalg.norm(chk.vec) == pytest.approx(1.0)
+    assert chk == is_psd(M)  # the eigenvector is left out of ==
+    assert chk.margin == chk.lam_min + chk.band and chk.strict
+    assert not is_psd(np.diag([1.0, 0.0])).strict
+    assert is_psd(np.zeros((0, 0)), vector=True).margin is None
+
+
+def test_hankel_windows():
+    p = np.arange(7.0)
+    np.testing.assert_array_equal(hankel(p, 3, 1), [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
+    assert hankel(p, 0, 0).shape == (0, 0)
+
+
+def test_worst_status():
+    assert worst_status([]) == "psd"
+    assert worst_status(["psd", "marginal", "psd"]) == "marginal"
+    assert worst_status(["marginal", "not-psd"]) == "not-psd"
 
 
 def test_is_psd_rejects_asymmetric():

@@ -185,6 +185,20 @@ def test_detecting_witness_on_entangled_state(ppt_entangled_spec):
     assert np.trace(dense @ rho).real == pytest.approx(w.witness_value, rel=1e-10)
 
 
+def test_witness_value_is_the_form_of_its_coefficients(ppt_entangled_spec):
+    # the reported value is the Hankel form of the emitted coefficients, not
+    # the eigenvalue they approximate
+    rng = np.random.default_rng(37)
+    specs = [ppt_entangled_spec] + [
+        random_spec(rng, int(rng.integers(2, 9)), int(rng.integers(2, 4))) for _ in range(60)
+    ]
+    witnesses = [(spec, find_detecting_witness(spec)) for spec in specs]
+    witnesses = [(spec, w) for spec, w in witnesses if w is not None]
+    assert len(witnesses) > 20
+    for spec, w in witnesses:
+        assert w.witness_value == witness_value_fast(w, spec)
+
+
 def test_detecting_witness_sign_convention(ppt_entangled_spec):
     w = find_detecting_witness(ppt_entangled_spec)
     first_nonzero = next(c for c in w.coeffs if abs(c) > 1e-14)
