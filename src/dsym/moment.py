@@ -159,11 +159,11 @@ def _clean_atoms(nodes: np.ndarray, weights: np.ndarray, n: int, scale: float):
     w * max(1, t)^n is negligible against the data, merge duplicates; rejects
     the rule if a kept node is decisively negative."""
     node_clip = 1e-8 * (1.0 + float(np.max(np.abs(nodes), initial=0.0)))
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN is kept, then rejected
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
         largest = weights * np.maximum(nodes, 1.0) ** n
     merged: dict[float, float] = {}
     for t, w, top in zip(nodes, weights, largest):
-        if top <= 1e-12 * scale:
+        if not top > 1e-12 * scale:  # also an empty atom far out, whose top is NaN
             continue
         if t < -node_clip:
             raise _Rejected(len(nodes), f"negative node {t:.3e}")

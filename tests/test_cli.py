@@ -249,14 +249,17 @@ def test_geometric_certificate_at_large_n(tmp_path, capsys, N):
     assert measure["top_mass"] == 0.0
 
 
-def test_overflowing_measure_is_refused(tmp_path, capsys):
-    # a separable spec whose only rule with small residual has NaN moments
-    path = str(Path(__file__).parent / "data" / "overflowing_rule.json")
+def test_empty_far_atom_is_refused_on_its_residual(tmp_path, capsys):
+    # a separable spec whose rule pinned at 0 has an empty atom with NaN top
+    # moment; the report stays strict JSON (run rejects NaN) and names the
+    # residual of each rule
+    path = str(Path(__file__).parent / "data" / "empty_far_atom.json")
     code, report = run(capsys, ["check-separable", path, "--certificate"])
     assert code == 0
     assert report["separability"]["verdict"] == "separable"
     assert report["certificate"] is None
-    assert "moments overflow" in report["certificate_reason"]
+    assert "radau rule, 6 atoms: residual" in report["certificate_reason"]
+    assert "overflow" not in report["certificate_reason"]
 
     assert main(["decompose", path]) == 3
     captured = capsys.readouterr()

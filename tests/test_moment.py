@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dsym.moment
 from dsym.moment import (
     MeasureAtoms,
     RecoveryError,
@@ -145,16 +146,25 @@ def test_recovery_error_names_each_rejected_rule():
     assert "gauss rule, 3 atoms: negative top mass" in message
 
 
-def test_recovery_rejects_overflowing_rule():
+def test_recovery_drops_an_empty_far_atom():
     # a separable spec of length 161 whose rule pinned at 0 has an atom of
-    # weight exactly 0 far out (node ~1.2e3): its moments are 0 * inf = NaN,
-    # which no comparison with the bound rejects
-    spec = json.loads((Path(__file__).parent / "data" / "overflowing_rule.json").read_text())
+    # weight exactly 0 far out (node ~1.2e3): its largest moment 0 * inf is
+    # NaN, so the atom must be dropped by the cut-off, not kept to poison the
+    # rule's moments; each rule is then judged on its residual
+    spec = json.loads((Path(__file__).parent / "data" / "empty_far_atom.json").read_text())
     with pytest.raises(RecoveryError) as raised:
         recover_atomic_measure(spec["p"])
     message = str(raised.value)
-    assert "radau rule, 7 atoms: moments overflow" in message
+    assert "radau rule, 6 atoms: residual 4.9" in message
     assert "gauss rule, 6 atoms: residual" in message
+    assert "overflow" not in message
+
+
+def test_rule_with_overflowing_moments_is_rejected():
+    p = atoms_moments([0.5], [1.0], 160)
+    with pytest.raises(dsym.moment._Rejected) as raised:
+        dsym.moment._evaluate_candidate([(0.5, 1.0), (1e3, 1e-300)], p, 1e-8)
+    assert raised.value.args == (2, "moments overflow")
 
 
 @pytest.mark.parametrize("length", [33, 49])
