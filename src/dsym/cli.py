@@ -1,5 +1,5 @@
 """Command-line interface: classify states from JSON spec files and emit a
-single JSON report on stdout (diagnostics go to stderr).
+single JSON report on stdout, one compact line (diagnostics go to stderr).
 
 Spec file format: {"N": int, "d": int, "p": [number or exact-rational string
 like "1/9", ...]}.  Rational strings are parsed exactly and converted to
@@ -12,6 +12,7 @@ Exit codes: 0 positive verdict (ppt / separable), 1 negative verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,7 +85,8 @@ def _tolerance(text: str) -> float:
 
 
 def _complex_pairs(values) -> list[list[float]]:
-    return [[float(np.real(v)), float(np.imag(v))] for v in values]
+    v = np.asarray(values)
+    return np.column_stack((v.real, v.imag)).tolist()
 
 
 def _witness_json(w: WitnessSpec) -> dict:
@@ -164,10 +166,16 @@ def _base_report(command: str, spec: StateSpec, psd_tol: float, residual_tol: fl
     }
 
 
-def _emit(report: dict, started: float) -> None:
-    """Write strict JSON or nothing: a non-finite value raises ValueError."""
-    report["timings"] = {"total_s": time.perf_counter() - started}
-    sys.stdout.write(json.dumps(report, indent=2, allow_nan=False) + "\n")
+def _emit(report: dict, started: float, parsed: float, decided: float) -> None:
+    """Write strict JSON on one compact line, or nothing: a non-finite value
+    raises ValueError.  The times are perf_counter readings at the command's
+    start, after the spec parse and after the verdict."""
+    report["timings"] = {
+        "total_s": time.perf_counter() - started,
+        "parse_s": parsed - started,
+        "decide_s": decided - parsed,
+    }
+    sys.stdout.write(json.dumps(report, allow_nan=False, separators=(",", ":")) + "\n")
 
 
 _VERDICT_EXIT = {
@@ -182,18 +190,22 @@ _VERDICT_EXIT = {
 def cmd_check_ppt(args, psd_tol: float, residual_tol: float) -> int:
     started = time.perf_counter()
     spec = parse_spec_file(args.spec_file)
-    report = _base_report("check-ppt", spec, psd_tol, residual_tol)
+    parsed = time.perf_counter()
     ppt_report = is_m_ppt(spec, args.m, psd_tol)
+    decided = time.perf_counter()
+    report = _base_report("check-ppt", spec, psd_tol, residual_tol)
     report["ppt"] = _ppt_json(ppt_report)
-    _emit(report, started)
+    _emit(report, started, parsed, decided)
     return _VERDICT_EXIT[ppt_report.verdict]
 
 
 def cmd_check_separable(args, psd_tol: float, residual_tol: float) -> int:
     started = time.perf_counter()
     spec = parse_spec_file(args.spec_file)
-    report = _base_report("check-separable", spec, psd_tol, residual_tol)
+    parsed = time.perf_counter()
     verdict = is_separable(spec, residual_tol, psd_tol)
+    decided = time.perf_counter()
+    report = _base_report("check-separable", spec, psd_tol, residual_tol)
     report["separability"] = _separability_json(verdict)
     report["certificate"] = None
     if args.certificate:
@@ -204,14 +216,14 @@ def cmd_check_separable(args, psd_tol: float, residual_tol: float) -> int:
             report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
         elif verdict.witness is not None:
             report["certificate"] = _witness_json(verdict.witness)
-    _emit(report, started)
+    _emit(report, started, parsed, decided)
     return _VERDICT_EXIT[verdict.verdict]
 
 
 def cmd_oracle_verify(args, psd_tol: float, residual_tol: float) -> int:
     started = time.perf_counter()
     spec = parse_spec_file(args.spec_file)
-    report = _base_report("oracle-verify", spec, psd_tol, residual_tol)
+    parsed = time.perf_counter()
     mask = tuple(int(c) for c in args.mask)
     rho = build_state(spec)
     status, lam_min, lam_max = dense_ppt_check(rho, mask, spec.d, psd_tol)
@@ -229,23 +241,27 @@ def cmd_oracle_verify(args, psd_tol: float, residual_tol: float) -> int:
         oracle["agreement"] = (
             None if "marginal" in (fast.verdict, status) else fast.verdict == PPT_WORDS[status]
         )
+    decided = time.perf_counter()
+    report = _base_report("oracle-verify", spec, psd_tol, residual_tol)
     report["oracle"] = oracle
-    _emit(report, started)
+    _emit(report, started, parsed, decided)
     return _VERDICT_EXIT[PPT_WORDS[status]]
 
 
 def cmd_decompose(args, psd_tol: float, residual_tol: float) -> int:
     started = time.perf_counter()
     spec = parse_spec_file(args.spec_file)
-    report = _base_report("decompose", spec, psd_tol, residual_tol)
+    parsed = time.perf_counter()
     verdict = is_separable(spec, residual_tol, psd_tol)
+    decided = time.perf_counter()
+    report = _base_report("decompose", spec, psd_tol, residual_tol)
     report["separability"] = _separability_json(verdict)
     if verdict.verdict != "separable":
         report["certificate"] = None
-        _emit(report, started)
+        _emit(report, started, parsed, decided)
         return _VERDICT_EXIT[verdict.verdict]
     report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
-    _emit(report, started)
+    _emit(report, started, parsed, decided)
     return EXIT_POSITIVE
 
 
@@ -313,10 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and reused by every
+    `main` call (parse_args keeps no state between calls).  `build_parser`
+    itself always returns a fresh parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; 2 means "marginal" here, so remap
         return EXIT_POSITIVE if exc.code in (0, None) else EXIT_ERROR

@@ -8,9 +8,11 @@ semidefinite, so the fast path never touches a d**N-dimensional matrix and
 has no size cap.
 
 Every Hankel matrix of the package, the blocks P_s here and the two moment
-Hankels of `moment`, is built by `hankel` and decided by `is_psd`: one full
-symmetric eigendecomposition with a relative tolerance band (leading
-principal minors are invalid for semidefiniteness).
+Hankels of `moment`, is built by `hankel` and decided by one full symmetric
+eigendecomposition with a relative tolerance band (leading principal minors
+are invalid for semidefiniteness), classified by `PsdCheck.from_extremes`.
+The moment Hankels go through `is_psd` one at a time; the m-PPT blocks of
+one size are decided as stacks, one batched eigensolve per stack.
 A min eigenvalue below -band is decisive; inside the band, values that are
 too negative to be rounding of an exact zero (below -band/100) are surfaced
 as "marginal" rather than silently coerced either way.
@@ -19,6 +21,7 @@ as "marginal" rather than silently coerced either way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -26,6 +29,11 @@ from .combinatorics import count_compositions, digit_table
 from .states import StateSpec, check_dense_cap
 
 DEFAULT_PSD_TOL = 1e-10
+
+# Largest stack of m-PPT blocks, in bytes, decided by one eigvalsh call:
+# batching removes the per-call cost of many small blocks, and the cap bounds
+# the stack's memory (a block larger than the cap is decided alone).
+STACK_BYTES = 1 << 20
 
 # Fraction of the tolerance band treated as numerical noise around zero:
 # |lam_min| <= band * NOISE_FRACTION counts as an exact boundary zero.
@@ -57,8 +65,11 @@ class PsdCheck:
     vec: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def from_extremes(cls, lam_min: float, lam_max: float, tol_rel: float, vec=None) -> "PsdCheck":
-        """Status and band tol_rel * max(1, lam_max) from the extreme eigenvalues."""
+    def from_extremes(
+        cls, lam_min: float, lam_max: float, tol_rel: float, vec=None, **fields
+    ) -> "PsdCheck":
+        """Status and band tol_rel * max(1, lam_max) from the extreme
+        eigenvalues; `fields` fill a subclass's own fields."""
         band = tol_rel * max(1.0, lam_max)
         if lam_min < -band:
             status = NOT_PSD
@@ -66,7 +77,7 @@ class PsdCheck:
             status = MARGINAL
         else:
             status = PSD
-        return cls(status, lam_min, lam_max, band, vec)
+        return cls(status, lam_min, lam_max, band, vec, **fields)
 
     @property
     def margin(self) -> float | None:
@@ -85,27 +96,34 @@ class PsdCheck:
 def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL, vector: bool = False) -> PsdCheck:
     """PSD status of a real symmetric matrix from one eigendecomposition;
     with vector=True (the moment Hankels, whose vector is a witness) it also
-    keeps the lowest eigenvector.  The m-PPT blocks skip eigh, which at N up
-    to 1000 costs check-ppt a third of its throughput and 5x its memory."""
+    keeps the lowest eigenvector."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return PsdCheck(PSD, None, None, None)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if abs(M - M.T).max() > 1e-12 * max(1.0, abs(M).max()):
-        raise ValueError("matrix is not symmetric")
-    if vector:
-        ev, vecs = np.linalg.eigh(M)
-        vec = vecs[:, 0]
-    else:
-        ev, vec = np.linalg.eigvalsh(M), None
+    ev, vecs = _spectrum(M, vector)
+    vec = None if vecs is None else vecs[:, 0]
     return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel, vec)
 
 
-def hankel(p, size: int, shift: int) -> np.ndarray:
-    """The size x size Hankel matrix (p[k + l + shift]) of a sequence."""
+def _spectrum(M: np.ndarray, vector: bool):
+    """Ascending eigenvalues (and eigenvectors when `vector`) of a symmetric
+    matrix or a (k, n, n) stack of them, from one LAPACK call; each matrix
+    must be symmetric to 1e-12 of its own largest entry.  Without `vector`
+    it skips eigh, which on the m-PPT blocks at N up to 1000 costs check-ppt
+    a third of its throughput and 5x its memory."""
+    asym = abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (asym > 1e-12 * np.maximum(1.0, abs(M).max(axis=(-2, -1)))).any():
+        raise ValueError("matrix is not symmetric")
+    return np.linalg.eigh(M) if vector else (np.linalg.eigvalsh(M), None)
+
+
+def hankel(p, size: int, shift) -> np.ndarray:
+    """The size x size Hankel matrix (p[k + l + shift]) of a sequence, or the
+    (k, size, size) stack of them for an array of k shifts."""
     idx = np.arange(size)
-    return np.asarray(p, dtype=float)[idx[:, None] + idx[None, :] + shift]
+    return np.asarray(p, dtype=float)[np.add.outer(shift, idx[:, None] + idx[None, :])]
 
 
 @dataclass(frozen=True)
@@ -164,7 +182,9 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
 
     For N = 2m the blocks s = 0 and s = 1 suffice; for 2m < N the blocks
     s = 0..(N-2m)(d-1) do (every other block is a principal submatrix of one
-    of these).
+    of these).  Blocks of one size are decided in stacks of at most
+    STACK_BYTES, one eigvalsh call per stack; batched LAPACK runs the same
+    routine on each matrix, so the records equal per-block `is_psd` checks.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N // 2:
@@ -173,11 +193,19 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
         offsets = [0, 1]
     else:
         offsets = list(range((N - 2 * m) * (d - 1) + 1))
+    p = np.asarray(spec.p, dtype=float)
     records = []
-    for s in offsets:
-        block = hankel_block(spec.p, N, d, m, s)
-        chk = is_psd(block.matrix, tol)
-        records.append(BlockRecord(**vars(chk), s=s, size=block.size))
+    # every offset is >= 0, so each block starts at row 0 and its shift is s
+    for size, group in groupby(offsets, key=lambda s: _block_range(N, d, m, s)[1] + 1):
+        group = np.array(list(group))
+        step = max(1, STACK_BYTES // (8 * size * size))
+        for start in range(0, len(group), step):
+            shifts = group[start : start + step]
+            ev, _ = _spectrum(hankel(p, size, shifts), False)
+            records += [
+                BlockRecord.from_extremes(lo, hi, tol, s=s, size=size)
+                for s, lo, hi in zip(shifts.tolist(), ev[:, 0].tolist(), ev[:, -1].tolist())
+            ]
     verdict = PPT_WORDS[worst_status(r.status for r in records)]
     return PPTReport(m=m, verdict=verdict, blocks=tuple(records))
 

@@ -1,6 +1,9 @@
 """CLI surface: JSON parsing, report schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +36,69 @@ def _reject_constant(name):
 def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
-    return code, (json.loads(out, parse_constant=_reject_constant) if out.strip() else None)
+    if not out:
+        return code, None
+    assert out.endswith("\n") and out.count("\n") == 1, "a report is one line"
+    return code, json.loads(out, parse_constant=_reject_constant)
+
+
+def _fresh_process(argv):
+    """Exit code and stdout of the CLI run in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dsym.cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "dsym.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout
+
+
+def _without_timings(out):
+    if not out:
+        return None
+    report = json.loads(out)
+    del report["timings"]
+    return report
+
+
+def test_parser_reuse_keeps_no_state_between_calls(tmp_path, capsys):
+    # main reuses one parser; build_parser itself stays fresh on each call
+    assert dsym.cli.build_parser() is not dsym.cli.build_parser()
+    entangled = write_spec(tmp_path, COUNTEREXAMPLE, "entangled.json")
+    separable = write_spec(
+        tmp_path, {"N": 3, "d": 3, "p": list(geometric_p(3, 3, 0.4))}, "separable.json"
+    )
+    calls = [
+        (["check-separable", entangled, "--tol", "1e-3"], None),
+        (["check-separable", entangled], 1),
+        (["decompose", separable, "--normalize"], 0),
+        (["decompose", separable], 0),
+        (["check-ppt", entangled], 3),  # usage error: --m is missing
+        (["check-ppt", entangled, "--m", "1"], 0),
+    ]
+    for argv, expected in calls:
+        code = main(argv)
+        report = _without_timings(capsys.readouterr().out)
+        fresh_code, fresh_out = _fresh_process(argv)
+        assert code == fresh_code and expected in (None, code), argv
+        assert report == _without_timings(fresh_out), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-ppt", "--m", "1"],
+        ["check-separable", "--certificate"],
+        ["decompose"],
+        ["oracle-verify", "--mask", "100"],
+    ],
+)
+def test_timings_name_each_stage(tmp_path, capsys, argv):
+    path = write_spec(tmp_path, {"N": 3, "d": 3, "p": list(geometric_p(3, 3, 0.4))})
+    code, report = run(capsys, [argv[0], path, *argv[1:]])
+    assert code == 0
+    timings = report["timings"]
+    assert list(timings) == ["total_s", "parse_s", "decide_s"]
+    assert min(timings.values()) >= 0
+    assert timings["parse_s"] + timings["decide_s"] <= timings["total_s"]
 
 
 def test_rational_strings_parse_exactly():

@@ -5,6 +5,7 @@ import pytest
 
 from dsym.oracle import dense_ppt_check, partial_transpose
 from dsym.ppt import (
+    STACK_BYTES,
     block_decomposition,
     hankel,
     hankel_block,
@@ -88,6 +89,10 @@ def test_hankel_windows():
     p = np.arange(7.0)
     np.testing.assert_array_equal(hankel(p, 3, 1), [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
     assert hankel(p, 0, 0).shape == (0, 0)
+    stack = hankel(p, 2, np.array([0, 2, 4]))
+    assert stack.shape == (3, 2, 2)
+    for k, shift in enumerate((0, 2, 4)):
+        np.testing.assert_array_equal(stack[k], hankel(p, 2, shift))
 
 
 def test_worst_status():
@@ -232,3 +237,51 @@ def test_submatrix_monotonicity_for_even_split():
         for s in range(-m * (d - 1), (N - m) * (d - 1) + 1):
             block = hankel_block(spec.p, N, d, m, s)
             assert is_psd(block.matrix).status == "psd"
+
+
+# (N, d, m) whose block counts fall below, at, just above and well above the
+# number of blocks one stack holds (STACK_BYTES // (8 * size**2), 3 at these
+# sizes), and blocks larger than the stack cap (decided one per call)
+STRADDLING = [
+    (399, 2, 199), (400, 2, 199), (401, 2, 199), (402, 2, 199), (206, 3, 100), (134, 4, 66),
+    (802, 2, 400),
+]
+SMALL = [(N, d, m) for d in (2, 3, 4) for N in range(2, 8) for m in range(1, N // 2 + 1)]
+
+
+@pytest.mark.parametrize("N, d, m", SMALL + STRADDLING)
+def test_stacked_blocks_equal_per_block_decisions(monkeypatch, N, d, m):
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        stacks.append(a.shape)
+        return eigvalsh(a)
+
+    rng = np.random.default_rng([N, d, m])
+    specs = [random_spec(rng, N, d)]
+    # an atomic-measure sequence, whose blocks are all PSD
+    nodes, weights = rng.uniform(0.1, 1.5, 3), rng.uniform(0.1, 1.0, 3)
+    specs.append(StateSpec(N, d, tuple(weights @ nodes[:, None] ** np.arange(N * (d - 1) + 1))))
+    for spec in specs:
+        for tol in (1e-10, 1e-3):
+            monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+            report = is_m_ppt(spec, m, tol)
+            monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+            assert report.checked == (
+                (0, 1) if N == 2 * m else tuple(range((N - 2 * m) * (d - 1) + 1))
+            )
+            for record in report.blocks:
+                block = hankel_block(spec.p, N, d, m, record.s)
+                ref = is_psd(block.matrix, tol)
+                assert record.size == block.size
+                assert (record.status, record.band, record.margin) == (ref.status, ref.band, ref.margin)
+                assert record.lam_min.hex() == ref.lam_min.hex()
+                assert record.lam_max.hex() == ref.lam_max.hex()
+    # the cap bounds memory: on the large-ppt benchmark (seed 1) peak RSS was
+    # 51.6 MB with 1 MiB stacks and 57.2 MB with 4 MiB stacks
+    assert STACK_BYTES <= 1 << 20
+    assert stacks
+    for shape in stacks:
+        k, n, _ = shape
+        assert k == 1 or k * n * n * 8 <= STACK_BYTES, shape
