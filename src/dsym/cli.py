@@ -115,10 +115,7 @@ def _ensemble_json(e: SeparableEnsemble) -> dict:
 def _ensemble_certificate(spec: StateSpec, verdict: SeparabilityVerdict, normalize: bool) -> dict:
     """Ensemble certificate of a separable verdict; raises the verdict's
     RecoveryError when it carries no measure."""
-    ensemble = ensemble_from_verdict(spec, verdict)
-    if normalize:
-        ensemble = ensemble.normalized()
-    return _ensemble_json(ensemble)
+    return _ensemble_json(ensemble_from_verdict(spec, verdict, normalize))
 
 
 def _separability_json(v: SeparabilityVerdict) -> dict:

@@ -62,6 +62,20 @@ def count_compositions(N: int, k: int, d: int) -> int:
     return row[k]
 
 
+@lru_cache(maxsize=None)
+def composition_counts(N: int, d: int) -> np.ndarray:
+    """count_compositions(N, k, d) for every k = 0..N(d-1), as a read-only
+    float64 array: the coefficients of (1 + x + ... + x^(d-1))^N, from N
+    convolutions.  Exact below 2**53, rounded above it, and inf beyond the
+    float range; unlike count_compositions it has no 64-bit cap on d**N."""
+    counts = np.ones(1)
+    with np.errstate(over="ignore"):
+        for _ in range(N):
+            counts = np.convolve(counts, np.ones(d))
+    counts.setflags(write=False)
+    return counts
+
+
 def enumerate_tuples(N: int, d: int, k: int) -> list[tuple[int, ...]]:
     """All N-tuples over {0..d-1} with digit sum k, in lexicographic order."""
     _validate_nd(N, d)

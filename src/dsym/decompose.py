@@ -11,12 +11,14 @@ state carrying the mass M.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .combinatorics import composition_counts
 from .moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, SeparabilityVerdict, is_separable
-from .states import StateSpec, check_dense_cap, dense_cap, product_powers
+from .states import StateSpec, check_dense_cap, product_powers
 
 TOP = "top"
 
@@ -46,7 +48,10 @@ class SeparableEnsemble:
         return (vecs.T * weights) @ vecs.conj()
 
     def normalized(self) -> "SeparableEnsemble":
-        """Convex combination of unit-trace product states (weights sum to 1)."""
+        """Convex combination of unit-trace product states (weights sum to 1).
+        Its reconstruction_error is None: the terms alone do not give the
+        distance to the normalized state, which
+        ``ensemble_from_measure(..., normalize=True)`` reports."""
         new_terms = []
         for weight, phi in self.terms:
             if isinstance(phi, str):
@@ -64,7 +69,6 @@ class SeparableEnsemble:
             self.N,
             self.d,
             tuple((w / total, phi) for w, phi in new_terms),
-            self.reconstruction_error,
         )
 
 
@@ -96,7 +100,9 @@ def separable_ensemble(
     return ensemble_from_verdict(spec, is_separable(spec, tol))
 
 
-def ensemble_from_verdict(spec: StateSpec, verdict: SeparabilityVerdict) -> SeparableEnsemble:
+def ensemble_from_verdict(
+    spec: StateSpec, verdict: SeparabilityVerdict, normalize: bool = False
+) -> SeparableEnsemble:
     """Ensemble certifying an already computed separability verdict."""
     if verdict.verdict != "separable":
         raise NotSeparableError(
@@ -104,10 +110,37 @@ def ensemble_from_verdict(spec: StateSpec, verdict: SeparabilityVerdict) -> Sepa
         )
     if verdict.recovery_error is not None:
         raise verdict.recovery_error
-    return ensemble_from_measure(spec, verdict.atoms)
+    return ensemble_from_measure(spec, verdict.atoms, normalize)
 
 
-def ensemble_from_measure(spec: StateSpec, measure: MeasureAtoms) -> SeparableEnsemble:
+def reconstruction_error(N: int, d: int, moments, p, normalize: bool = False) -> float | None:
+    """Frobenius distance between the states sum_k x_k |R_k><R_k| with
+    x = moments and x = p (each divided by its trace when `normalize`), in
+    closed form: the |R_k><R_k| are orthogonal with Frobenius norm count_k,
+    so the distance is sqrt(sum_k count_k^2 (moments_k - p_k)^2) and a trace
+    is sum_k count_k x_k.  None when a count or a trace exceeds the float
+    range, or the distance does."""
+    counts = composition_counts(N, d)
+    x, y = np.asarray(moments, dtype=float), np.asarray(p, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if normalize:
+            traces = counts @ x, counts @ y
+            if not all(map(math.isfinite, traces)):
+                return None
+            x, y = x / traces[0], y / traces[1]
+        err = math.hypot(*(counts * (x - y)))
+    return err if math.isfinite(err) else None
+
+
+def ensemble_from_measure(
+    spec: StateSpec, measure: MeasureAtoms, normalize: bool = False
+) -> SeparableEnsemble:
+    """Fourier ensembles of the measure's atoms plus the top state; with
+    `normalize`, as the convex combination of ``SeparableEnsemble.normalized``.
+    Each Fourier family reproduces its atom's moments exactly, so the
+    ensemble is the state with coefficients measure.reproduced(n), and its
+    reconstruction_error is the closed form against p; no dense matrix is
+    built."""
     N, d = spec.N, spec.d
     terms: list[tuple[float, np.ndarray | str]] = []
     for t, w in measure.atoms:
@@ -121,11 +154,9 @@ def ensemble_from_measure(spec: StateSpec, measure: MeasureAtoms) -> SeparableEn
             terms.append((w * sub_w, phi))
     if measure.top_mass > 0:
         terms.append((measure.top_mass, TOP))
-    err = None
-    if d**N <= dense_cap():
-        from .states import build_state
-
-        ensemble = SeparableEnsemble(N, d, tuple(terms))
-        err = float(np.linalg.norm(ensemble.to_dense() - build_state(spec)))
-    return SeparableEnsemble(N, d, tuple(terms), err)
+    ensemble = SeparableEnsemble(N, d, tuple(terms))
+    if normalize:
+        ensemble = ensemble.normalized()
+    err = reconstruction_error(N, d, measure.reproduced(N * (d - 1)), spec.p, normalize)
+    return replace(ensemble, reconstruction_error=err)
 

@@ -4,7 +4,10 @@ Everything here materializes full d**N x d**N matrices (subject to the dense
 cap) and is meant for validating the Hankel fast path, not for production
 classification.  Partial transposes are exact entry permutations (digit
 swaps between row and column indices), never Kronecker products of
-transpose maps.
+transpose maps, so they keep the dtype of their input: the real states of
+``states.build_state`` give real partial transposes, whose full spectrum
+comes from a real symmetric eigensolver, while complex inputs (product
+states, separable ensembles) stay complex.  Permutation operators are real.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ def permutation_operator(sigma, d: int) -> np.ndarray:
     dim = check_dense_cap(N, d)
     # output digit at position sigma[r] is the input digit at position r
     target = digit_table(N, d) @ d ** (N - 1 - np.array(sigma, dtype=np.int64))
-    F = np.zeros((dim, dim), dtype=np.complex128)
+    F = np.zeros((dim, dim))
     F[target, np.arange(dim)] = 1.0
     return F
 
@@ -73,7 +76,8 @@ def min_eigenvalue(M: np.ndarray) -> float:
 
 
 def dense_ppt_check(rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL):
-    """Partial-transpose PSD status of a dense state: (status, lam_min, lam_max)."""
+    """Partial-transpose PSD status of a dense state from the full spectrum of
+    its partial transpose: (status, lam_min, lam_max)."""
     pt = partial_transpose(rho, mask, d)
     ev = np.linalg.eigvalsh(pt)
     lam_min, lam_max = float(ev[0]), float(ev[-1])
@@ -119,7 +123,7 @@ def check_mask_equivalence(
 
 def check_d_symmetry(rho: np.ndarray, N: int, d: int, tol: float = 1e-10) -> bool:
     """Whether rho is invariant under compression by the digit-sum projector."""
-    rho = np.asarray(rho, dtype=np.complex128)
+    rho = np.asarray(rho)
     dim = check_dense_cap(N, d)
     if rho.shape != (dim, dim):
         raise ValueError(f"matrix shape {rho.shape} does not match d**N = {dim}")

@@ -211,7 +211,7 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
 
 
 def block_decomposition(spec: StateSpec, m: int) -> list[np.ndarray]:
-    """Dense blocks A_s of the partial transpose over the first m parties.
+    """Dense real blocks A_s of the partial transpose over the first m parties.
 
     With a and b an index's digit sums over the transposed and the kept group,
     A_s[i, j] = p[a_i + b_j] = P_s[a_i, a_j] on the indices with b - a = s, and
@@ -230,7 +230,7 @@ def block_decomposition(spec: StateSpec, m: int) -> list[np.ndarray]:
     out = []
     for s in range(-m * (d - 1), (N - m) * (d - 1) + 1):
         idx = np.flatnonzero(offset == s)
-        block = np.zeros((dim, dim), dtype=np.complex128)
+        block = np.zeros((dim, dim))
         block[np.ix_(idx, idx)] = p[a[idx][:, None] + b[idx][None, :]]
         out.append(block)
     return out

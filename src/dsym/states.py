@@ -1,8 +1,13 @@
 """Restricted Dicke vectors and digit-sum symmetric (D-symmetric) operators.
 
-Dense operators are plain complex numpy arrays of shape (d**N, d**N), with
-rows and columns indexed by the big-endian digit convention of
-``combinatorics.tuple_to_index``.  Dense construction is deliberately capped
+Dense operators are numpy arrays of shape (d**N, d**N), with rows and
+columns indexed by the big-endian digit convention of
+``combinatorics.tuple_to_index``.  The restricted Dicke vectors have entries
+0 and 1, so every operator diagonal in them (states, the D-symmetrizer, the
+V/U witnesses) and the bosonic symmetrizer is real symmetric and built as
+float64: its eigensolves then run in real arithmetic.  Only the product
+states carry complex phases: ``product_powers``, ``sigma_z`` and separable
+ensembles stay complex128.  Dense construction is deliberately capped
 (default d**N <= 4096, override with the DSYM_DENSE_CAP environment
 variable): the dense path exists for verification, not production; the
 Hankel classification path in the ppt/moment modules has no cap.
@@ -22,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import count_compositions, digit_sums, digit_table
+from .combinatorics import composition_counts, count_compositions, digit_sums, digit_table
 
 DEFAULT_DENSE_CAP = 4096
 
@@ -91,7 +96,7 @@ def restricted_dicke_vector(N: int, d: int, k: int) -> np.ndarray:
     if k < 0 or k > N * (d - 1):
         raise ValueError(f"digit sum k={k} out of range [0, {N * (d - 1)}]")
     check_dense_cap(N, d)
-    return (digit_sums(N, d) == k).astype(np.complex128)
+    return (digit_sums(N, d) == k).astype(float)
 
 
 def dual_restricted_dicke(N: int, d: int, k: int) -> np.ndarray:
@@ -100,14 +105,14 @@ def dual_restricted_dicke(N: int, d: int, k: int) -> np.ndarray:
 
 
 def digit_sum_operator(N: int, d: int, values) -> np.ndarray:
-    """Dense sum_k values[k] |R_k><R_k| over the restricted Dicke vectors R_k:
-    entry (i, j) is values[k] when both digit sums are k, else 0."""
+    """Dense real sum_k values[k] |R_k><R_k| over the restricted Dicke vectors
+    R_k: entry (i, j) is values[k] when both digit sums are k, else 0."""
     check_dense_cap(N, d)
     values = np.asarray(values, dtype=float)
     if values.shape != (N * (d - 1) + 1,):
         raise ValueError(f"expected one value per digit sum 0..{N * (d - 1)}, got {values.shape}")
     sums = digit_sums(N, d)
-    return np.multiply(sums[:, None] == sums[None, :], values[sums][:, None], dtype=np.complex128)
+    return np.multiply(sums[:, None] == sums[None, :], values[sums][:, None])
 
 
 def product_powers(N: int, d: int, phis) -> np.ndarray:
@@ -145,7 +150,7 @@ def symmetrizer(N: int, d: int) -> np.ndarray:
     orbit_id, sizes = _multiset_orbits(N, d)
     same = orbit_id[:, None] == orbit_id[None, :]
     inv = (1.0 / sizes[orbit_id])[:, None]
-    return np.where(same, inv, 0.0).astype(np.complex128)
+    return np.where(same, inv, 0.0)
 
 
 def d_symmetrizer(N: int, d: int) -> np.ndarray:
@@ -154,7 +159,7 @@ def d_symmetrizer(N: int, d: int) -> np.ndarray:
     Dicke vectors.
     """
     check_dense_cap(N, d)
-    return digit_sum_operator(N, d, 1.0 / np.bincount(digit_sums(N, d)))
+    return digit_sum_operator(N, d, 1.0 / composition_counts(N, d))
 
 
 def build_state(spec: StateSpec, normalize: bool = False) -> np.ndarray:
@@ -166,7 +171,7 @@ def build_state(spec: StateSpec, normalize: bool = False) -> np.ndarray:
     check_dense_cap(spec.N, spec.d)
     rho = digit_sum_operator(spec.N, spec.d, spec.p)
     if normalize:
-        tr = np.trace(rho).real
+        tr = np.trace(rho)
         if tr <= 0:
             raise ValueError("cannot normalize a state with nonpositive trace")
         rho /= tr

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import digit_sums
+from .combinatorics import composition_counts
 from .moment import MomentCheck, is_generalized_moment_solution
 from .ppt import DEFAULT_PSD_TOL, NOT_PSD, hankel
 from .states import StateSpec, check_dense_cap, digit_sum_operator
@@ -56,7 +56,7 @@ def _dual_projector_sum(coeffs: np.ndarray, N: int, d: int, shift: int) -> np.nd
     weight per degree j = k + l + shift (the convolution of c with conj(c)),
     and |dual_j><dual_j| = |R_j><R_j| / count_j^2."""
     check_dense_cap(N, d)
-    counts = np.bincount(digit_sums(N, d))
+    counts = composition_counts(N, d)
     weights = np.zeros(len(counts))
     weights[shift : shift + 2 * len(coeffs) - 1] = np.convolve(coeffs, np.conj(coeffs)).real
     return digit_sum_operator(N, d, weights / counts**2)

@@ -385,6 +385,35 @@ def test_decompose_normalized_weights_sum_to_one(tmp_path, capsys):
     assert total == pytest.approx(1.0)
 
 
+def test_decompose_normalized_error_is_against_the_normalized_state(tmp_path, capsys):
+    # two atoms, trace ~4.7e4: the unnormalized ensemble's error must not be
+    # reported for the normalized one
+    from dsym.decompose import SeparableEnsemble
+    from dsym.states import StateSpec, build_state
+
+    N, d = 6, 2
+    p = [0.5**k + 5.0**k for k in range(N + 1)]
+    path = write_spec(tmp_path, {"N": N, "d": d, "p": p})
+    code, report = run(capsys, ["decompose", path, "--normalize"])
+    assert code == 0
+    cert = report["certificate"]
+    terms = tuple(
+        (t["weight"], t["vector"] if t["vector"] == "top" else [complex(*z) for z in t["vector"]])
+        for t in cert["terms"]
+    )
+    rho = build_state(StateSpec(N, d, tuple(p)), normalize=True)
+    dense = np.linalg.norm(SeparableEnsemble(N, d, terms).to_dense() - rho)
+    assert abs(cert["reconstruction_error"] - dense) <= 1e-12 * np.linalg.norm(rho)
+
+
+def test_decompose_reports_error_above_the_dense_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DSYM_DENSE_CAP", "4")
+    path = write_spec(tmp_path, {"N": 8, "d": 2, "p": geometric_p(8, 2, 0.5)})
+    code, report = run(capsys, ["decompose", path])
+    assert code == 0
+    assert 0.0 <= report["certificate"]["reconstruction_error"] < 1e-10
+
+
 def test_decompose_entangled_exit_1(tmp_path, capsys):
     path = write_spec(tmp_path, COUNTEREXAMPLE)
     code, report = run(capsys, ["decompose", path])

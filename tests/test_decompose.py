@@ -5,12 +5,16 @@ import functools
 import numpy as np
 import pytest
 
+import dsym.decompose
 import dsym.moment
+import dsym.states
 from dsym.decompose import (
     TOP,
     NotSeparableError,
     SeparableEnsemble,
+    ensemble_from_verdict,
     geometric_ensemble,
+    reconstruction_error,
     separable_ensemble,
 )
 from dsym.moment import RecoveryError, is_separable
@@ -146,3 +150,68 @@ def test_normalized_preserves_state_up_to_trace():
         rho / np.trace(rho).real,
         atol=1e-12,
     )
+
+
+def _random_measure_spec(rng, N, d):
+    r = int(rng.integers(1, 4))
+    nodes = rng.uniform(0.0, 3.0, r)
+    weights = rng.uniform(0.1, 2.0, r)
+    p = [float(np.sum(weights * nodes**k)) for k in range(N * (d - 1) + 1)]
+    p[-1] += float(rng.choice([0.0, rng.uniform(0.1, 1.0)]))
+    return StateSpec(N, d, tuple(p))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_closed_form_error_matches_dense_distance(normalize):
+    rng = np.random.default_rng(43)
+    checked = 0
+    for _ in range(30):
+        N, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        spec = _random_measure_spec(rng, N, d)
+        verdict = is_separable(spec)
+        if verdict.verdict != "separable" or verdict.atoms is None:
+            continue
+        ens = ensemble_from_verdict(spec, verdict, normalize)
+        rho = build_state(spec, normalize=normalize)
+        dense = np.linalg.norm(ens.to_dense() - rho)
+        assert abs(ens.reconstruction_error - dense) <= 1e-12 * np.linalg.norm(rho), spec
+        checked += 1
+    assert checked >= 20
+
+
+def test_normalized_error_is_measured_against_the_normalized_state():
+    # trace ~4.7e4: the unnormalized error (~1e-11) is far above the
+    # distance between the normalized ensemble and the normalized state
+    N, d = 6, 2
+    spec = StateSpec(N, d, tuple(0.5**k + 5.0**k for k in range(N + 1)))
+    rho = build_state(spec, normalize=True)
+    ens = ensemble_from_verdict(spec, is_separable(spec), normalize=True)
+    assert sum(w for w, _ in ens.terms) == pytest.approx(1.0)
+    dense = np.linalg.norm(ens.to_dense() - rho)
+    assert abs(ens.reconstruction_error - dense) <= 1e-12 * np.linalg.norm(rho)
+
+
+def test_ensemble_builds_no_dense_matrix_and_ignores_the_cap(monkeypatch):
+    monkeypatch.setenv("DSYM_DENSE_CAP", "4")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense matrix built")
+
+    monkeypatch.setattr(dsym.states, "digit_sum_operator", forbidden)
+    monkeypatch.setattr(dsym.states, "product_powers", forbidden)
+    monkeypatch.setattr(dsym.decompose, "product_powers", forbidden)
+    spec = StateSpec(40, 3, geometric_p(40, 3, 0.7, w=2.0))
+    # ||rho||_F by the same closed form against the zero state; a normalized
+    # state has Frobenius norm at most 1
+    norm = reconstruction_error(40, 3, np.zeros(81), spec.p)
+    for normalize, bound in ((False, 1e-12 * norm), (True, 1e-12)):
+        ens = ensemble_from_verdict(spec, is_separable(spec), normalize)
+        assert 0.0 <= ens.reconstruction_error < bound
+
+
+def test_closed_form_error_beyond_the_float_range_is_none():
+    N, d = 1100, 2  # the central counts exceed 1e308
+    p = np.ones(N + 1)
+    assert reconstruction_error(N, d, p, p) is None
+    assert reconstruction_error(N, d, p, p, normalize=True) is None
+    assert reconstruction_error(40, 2, p[:41], p[:41]) == 0.0

@@ -136,6 +136,9 @@ def test_check_d_symmetry():
     e01 = np.zeros((4, 4), dtype=complex)
     e01[1, 1] = 1.0
     assert not check_d_symmetry(e01, 2, 2)
+    # real and complex inputs are checked in their own dtype
+    assert not check_d_symmetry(e01.real, 2, 2)
+    assert check_d_symmetry(build_state(spec).astype(complex), 2, 2)
 
 
 def test_min_eigenvalue_examples():
@@ -202,3 +205,46 @@ def test_separable_ensembles_are_ppt_under_every_mask():
         pt = partial_transpose(rho, mask, 2)
         ev = np.linalg.eigvalsh(pt)
         assert ev[0] >= -1e-10 * max(1.0, ev[-1])
+
+
+def test_dense_ppt_check_eigensolves_real_states_in_real_arithmetic(
+    monkeypatch, ppt_entangled_spec
+):
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    rho = build_state(ppt_entangled_spec)
+    dense_ppt_check(rho, (1, 0, 0), 3)
+    dense_ppt_check(rho.astype(complex), (1, 0, 0), 3)
+    assert seen == [np.dtype(np.float64), np.dtype(np.complex128)]
+
+
+def _real_and_complex_agree(spec, mask):
+    rho = build_state(spec)
+    real = dense_ppt_check(rho, mask, spec.d)
+    cplx = dense_ppt_check(rho.astype(complex), mask, spec.d)
+    assert real[0] == cplx[0], (spec, mask)
+    scale = max(1.0, abs(cplx[2]))
+    assert abs(real[1] - cplx[1]) <= 1e-12 * scale, (spec, mask)
+    assert abs(real[2] - cplx[2]) <= 1e-12 * scale, (spec, mask)
+
+
+def test_dense_ppt_check_real_matches_complex_on_counterexample(ppt_entangled_spec):
+    for mask in [(1, 0, 0), (0, 1, 1), (1, 1, 1)]:
+        _real_and_complex_agree(ppt_entangled_spec, mask)
+
+
+def test_dense_ppt_check_real_matches_complex_on_random_specs():
+    rng = np.random.default_rng(77)
+    # every d**N up to 512 among d = 2..4
+    dims = [(2, 2), (3, 2), (5, 2), (7, 2), (9, 2), (2, 3), (3, 3), (4, 3), (5, 3), (2, 4), (4, 4)]
+    for N, d in dims:
+        assert d**N <= 512
+        spec = random_spec(rng, N, d)
+        mask = tuple(int(b) for b in rng.integers(0, 2, N))
+        _real_and_complex_agree(spec, mask)

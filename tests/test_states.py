@@ -210,3 +210,41 @@ def test_dense_cap(monkeypatch):
         build_state(StateSpec(2, 3, (1, 1, 1, 1, 1)))
     monkeypatch.setenv("DSYM_DENSE_CAP", "9")
     build_state(StateSpec(2, 3, (1, 1, 1, 1, 1)))
+
+
+def test_operators_diagonal_in_dicke_basis_are_real():
+    # restricted Dicke vectors have 0/1 entries, so these operators are real
+    # symmetric and their eigensolves run in real arithmetic
+    from dsym.oracle import permutation_operator
+    from dsym.ppt import block_decomposition
+    from dsym.states import digit_sum_operator
+    from dsym.witnesses import witness_U, witness_V
+
+    N, d = 3, 3
+    spec = StateSpec(N, d, tuple(np.linspace(0.2, 1.0, N * (d - 1) + 1)))
+    complex_coeffs = [1.0 + 0.5j, -0.3j, 0.2, 0.7 - 0.1j]
+    real = {
+        "digit_sum_operator": digit_sum_operator(N, d, spec.p),
+        "build_state": build_state(spec),
+        "build_state_normalized": build_state(spec, normalize=True),
+        "d_symmetrizer": d_symmetrizer(N, d),
+        "top_product_state": top_product_state(N, d),
+        "witness_V": witness_V(complex_coeffs, N, d),
+        "witness_U": witness_U(complex_coeffs[:3], N, d),
+        "restricted_dicke_vector": restricted_dicke_vector(N, d, 2),
+        "dual_restricted_dicke": dual_restricted_dicke(N, d, 2),
+        "symmetrizer": symmetrizer(N, d),
+        "permutation_operator": permutation_operator((1, 2, 0), d),
+        **{f"block_{i}": b for i, b in enumerate(block_decomposition(spec, 1))},
+    }
+    for name, op in real.items():
+        assert op.dtype == np.float64, name
+
+
+def test_product_states_stay_complex():
+    from dsym.decompose import geometric_ensemble
+    from dsym.states import product_powers
+
+    assert product_powers(2, 3, [[1.0, 0.5, 0.25]]).dtype == np.complex128
+    assert sigma_z(2, 3, 0.4).dtype == np.complex128
+    assert geometric_ensemble(2, 3, 0.4).to_dense().dtype == np.complex128
