@@ -11,6 +11,7 @@ import pytest
 
 import dsym.cli
 import dsym.moment
+import dsym.oracle
 from dsym.cli import main, parse_spec_dict
 from dsym.moment import RecoveryError
 
@@ -344,6 +345,18 @@ def test_oracle_verify_counterexample_masks(tmp_path, capsys):
     code2, report2 = run(capsys, ["oracle-verify", path, "--mask", "001"])
     assert code2 == code
     assert abs(report2["oracle"]["lam_min"] - oracle["lam_min"]) < 1e-12
+
+
+def test_oracle_verify_calls_the_oracle_through_its_module_names(tmp_path, capsys, count_calls):
+    # the benchmark's trace wraps `dsym.cli.dense_ppt_check` and
+    # `dsym.oracle.partial_transpose` where they are looked up
+    assert dsym.cli.dense_ppt_check is dsym.oracle.dense_ppt_check
+    count_calls(dsym.cli, "dense_ppt_check")
+    counts = count_calls(dsym.oracle, "partial_transpose")
+    path = write_spec(tmp_path, COUNTEREXAMPLE)
+    code, report = run(capsys, ["oracle-verify", path, "--mask", "010"])
+    assert code == 0 and report["oracle"]["status"] == "psd"
+    assert counts == {"dense_ppt_check": 1, "partial_transpose": 1}
 
 
 def test_oracle_verify_not_psd_exit_1(tmp_path, capsys):

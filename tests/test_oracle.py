@@ -1,12 +1,15 @@
 """Dense partial transposes, permutation operators, and symmetry checks."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 
 from dsym.combinatorics import tuple_to_index
 from dsym.oracle import (
+    _components,
+    _extreme_eigenvalues,
     check_d_symmetry,
     check_mask_equivalence,
     dense_ppt_check,
@@ -14,7 +17,7 @@ from dsym.oracle import (
     partial_transpose,
     permutation_operator,
 )
-from dsym.ppt import block_decomposition, is_m_ppt
+from dsym.ppt import PsdCheck, block_decomposition, is_m_ppt
 from dsym.states import StateSpec, build_state, sigma_z
 
 from conftest import random_spec
@@ -207,6 +210,16 @@ def test_separable_ensembles_are_ppt_under_every_mask():
         assert ev[0] >= -1e-10 * max(1.0, ev[-1])
 
 
+def _offset_supports(spec, m):
+    """Index sets of the nonzero offset blocks of the partial transpose over
+    the first m parties, from `ppt.block_decomposition`."""
+    supports = {
+        frozenset(np.flatnonzero(np.any(A != 0, axis=1)).tolist())
+        for A in block_decomposition(spec, m)
+    }
+    return supports - {frozenset()}
+
+
 def test_dense_ppt_check_eigensolves_real_states_in_real_arithmetic(
     monkeypatch, ppt_entangled_spec
 ):
@@ -214,14 +227,21 @@ def test_dense_ppt_check_eigensolves_real_states_in_real_arithmetic(
     eigvalsh = np.linalg.eigvalsh
 
     def spy(a, *args, **kwargs):
-        seen.append(np.asarray(a).dtype)
+        seen.append((np.asarray(a).dtype, np.shape(a)[-1]))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     rho = build_state(ppt_entangled_spec)
     dense_ppt_check(rho, (1, 0, 0), 3)
+    real, seen[:] = seen[:], []
     dense_ppt_check(rho.astype(complex), (1, 0, 0), 3)
-    assert seen == [np.dtype(np.float64), np.dtype(np.complex128)]
+    assert real and seen
+    assert {dtype for dtype, _ in real} == {np.dtype(np.float64)}
+    assert {dtype for dtype, _ in seen} == {np.dtype(np.complex128)}
+    # each eigensolve sees one block of the split, never the 27 x 27 whole
+    largest = max(map(len, _offset_supports(ppt_entangled_spec, 1)))
+    assert largest == 7
+    assert max(rows for _, rows in real + seen) <= largest
 
 
 def _real_and_complex_agree(spec, mask):
@@ -248,3 +268,128 @@ def test_dense_ppt_check_real_matches_complex_on_random_specs():
         spec = random_spec(rng, N, d)
         mask = tuple(int(b) for b in rng.integers(0, 2, N))
         _real_and_complex_agree(spec, mask)
+
+
+def _planted(rng, sizes, dtype):
+    """A Hermitian matrix that is the direct sum of random blocks of the given
+    sizes under a random permutation, with the blocks' index sets.  A block
+    of size 0 stands for an all-zero row; a negative size -k is a connected
+    but sparse (tridiagonal) block of k rows."""
+    n = sum(max(1, abs(k)) for k in sizes)
+    perm = rng.permutation(n)
+    M = np.zeros((n, n), dtype=dtype)
+    planted = set()
+    start = 0
+    for k in sizes:
+        rows = perm[start : start + max(1, abs(k))]
+        start += len(rows)
+        planted.add(frozenset(rows.tolist()))
+        if k == 0:
+            continue
+        B = rng.normal(size=(len(rows),) * 2)
+        if dtype == complex:
+            B = B + 1j * rng.normal(size=B.shape)
+        if k < 0:
+            B = np.triu(np.tril(B, 1), -1)
+        M[np.ix_(rows, rows)] = (B + B.conj().T) / 2
+    return M, planted
+
+
+def _assert_extremes_match(ev, lam_min, lam_max):
+    """The ends of a full ascending spectrum, to 1e-12 * max(1, |lam_max|)."""
+    scale = max(1.0, abs(float(ev[-1])))
+    assert abs(lam_min - ev[0]) <= 1e-12 * scale
+    assert abs(lam_max - ev[-1]) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_split_spectrum_matches_full_eigvalsh_on_planted_blocks(dtype):
+    rng = np.random.default_rng(80)
+    for _ in range(40):
+        sizes = rng.choice([0, 1, 1, 2, 3, 5, 8, -4, -9], size=int(rng.integers(1, 9)))
+        M, planted = _planted(rng, sizes, dtype)
+        assert {frozenset(c.tolist()) for c in _components(M)} == planted
+        _assert_extremes_match(np.linalg.eigvalsh(M), *_extreme_eigenvalues(M))
+
+
+def test_split_spectrum_edge_cases():
+    for M in ([[2.5]], [[0.0]], [[-1.0 + 0j]], np.zeros((5, 5)), np.diag([3.0, -1.0, 0.0])):
+        M = np.asarray(M)
+        assert len(_components(M)) == len(M)
+        _assert_extremes_match(np.linalg.eigvalsh(M), *_extreme_eigenvalues(M))
+    assert _extreme_eigenvalues(np.zeros((5, 5))) == (0.0, 0.0)
+    with pytest.raises(ValueError):
+        min_eigenvalue(np.ones((2, 3)))
+
+
+def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
+    rho = build_state(ppt_entangled_spec)
+    # |000><222| has no partner in the state, and its mirror stays zero
+    # under every partial transpose; the lower triangle alone hides it
+    assert rho[0, 26] == rho[26, 0] == 0.0
+    for i, j in [(0, 26), (26, 0)]:
+        bad = rho.copy()
+        bad[i, j] = 1e-6
+        for mask in [(1, 0, 0), (0, 1, 1)]:
+            with pytest.raises(ValueError, match="Hermitian"):
+                dense_ppt_check(bad, mask, 3)
+        with pytest.raises(ValueError, match="Hermitian"):
+            min_eigenvalue(bad)
+    bad = rho.astype(complex)
+    bad[5, 5] += 1e-6j
+    with pytest.raises(ValueError, match="Hermitian"):
+        dense_ppt_check(bad, (1, 0, 0), 3)
+    # rounding-level asymmetry stays inside the 1e-12 * max(1, max|rho|) test
+    for scale in (1.0, 1e6):
+        near = scale * rho
+        near[0, 26] = 1e-14 * scale
+        assert dense_ppt_check(near, (1, 0, 0), 3)[0] == "psd"
+
+
+def test_one_sided_entry_joins_its_two_indices():
+    for i, j in [(2, 0), (0, 2)]:
+        M = np.diag([1.0, 2.0, 3.0])
+        M[i, j] = 1e-14
+        assert sorted(c.tolist() for c in _components(M)) == [[0, 2], [1]]
+        assert _extreme_eigenvalues(M) == pytest.approx((1.0, 3.0), abs=1e-12)
+
+
+# (d, N) of the dense-verify benchmark mix, d^N from 64 to 1024
+DENSE_VERIFY_MIX = [
+    (2, 6), (4, 3), (3, 4), (2, 7), (3, 5), (2, 8), (4, 4), (2, 9), (2, 10), (4, 5)
+]
+
+
+def test_dense_ppt_check_matches_full_spectrum_on_dense_verify_mix():
+    rng = np.random.default_rng(81)
+    for d, N in DENSE_VERIFY_MIX:
+        p = rng.uniform(0.0, 1.0, N * (d - 1) + 1)
+        with_zeros = p.copy()
+        with_zeros[rng.choice(len(p), size=len(p) // 3, replace=False)] = 0.0
+        w = int(rng.integers(1, N // 2 + 1))
+        prefix = (1,) * w + (0,) * (N - w)
+        shuffled = tuple(int(b) for b in rng.permutation(prefix))
+        for q in (p, with_zeros):
+            rho = build_state(StateSpec(N, d, tuple(q)))
+            for mask in (prefix, shuffled):
+                ev = np.linalg.eigvalsh(partial_transpose(rho, mask, d))
+                status, lam_min, lam_max = dense_ppt_check(rho, mask, d)
+                full = PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), 1e-10)
+                assert status == full.status, (d, N, q, mask)
+                _assert_extremes_match(ev, lam_min, lam_max)
+
+
+def test_components_are_the_offset_blocks():
+    # the oracle's split, found from the matrix alone, is the offset
+    # decomposition of `ppt.block_decomposition` whenever every p_k > 0
+    rng = np.random.default_rng(82)
+    for N, d in [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]:
+        spec = random_spec(rng, N, d)
+        assert min(spec.p) > 0
+        rho = build_state(spec)
+        for m in range(1, N):
+            pt = partial_transpose(rho, (1,) * m + (0,) * (N - m), d)
+            found = {frozenset(c.tolist()) for c in _components(pt)}
+            assert found == _offset_supports(spec, m), (N, d, m)
+            if d == 2:
+                assert sorted(map(len, found)) == sorted(comb(N, k) for k in range(N + 1))
