@@ -1,4 +1,9 @@
-"""Separability and PPT classification of diagonal restricted-Dicke states."""
+"""Separability and PPT classification of diagonal restricted-Dicke states.
+
+The names below decide and certify from the coefficient sequence alone.  The
+dense d**N-dimensional builders, which only verify, are reached as
+``dsym.states.*`` and ``dsym.oracle.*``.
+"""
 
 __version__ = "0.1.0"
 
@@ -23,17 +28,9 @@ from .moment import (
     moment_hankels,
     recover_atomic_measure,
 )
-from .oracle import (
-    check_d_symmetry,
-    check_mask_equivalence,
-    min_eigenvalue,
-    partial_transpose,
-    permutation_operator,
-)
 from .ppt import (
     HankelBlock,
     PPTReport,
-    block_decomposition,
     hankel_block,
     is_m_ppt,
     is_psd,
@@ -41,18 +38,10 @@ from .ppt import (
 from .states import (
     DenseCapExceeded,
     StateSpec,
-    build_state,
-    d_symmetrizer,
-    dual_restricted_dicke,
-    restricted_dicke_vector,
-    sigma_z,
-    symmetrizer,
 )
 from .witnesses import (
     WitnessSpec,
     find_detecting_witness,
-    witness_U,
-    witness_V,
     witness_value_fast,
 )
 
@@ -62,18 +51,11 @@ __all__ = [
     "tuple_to_index",
     "StateSpec",
     "DenseCapExceeded",
-    "restricted_dicke_vector",
-    "dual_restricted_dicke",
-    "symmetrizer",
-    "d_symmetrizer",
-    "build_state",
-    "sigma_z",
     "HankelBlock",
     "PPTReport",
     "hankel_block",
     "is_m_ppt",
     "is_psd",
-    "block_decomposition",
     "MeasureAtoms",
     "RecoveryError",
     "SeparabilityVerdict",
@@ -83,17 +65,10 @@ __all__ = [
     "is_separable",
     "check_main_theorem",
     "WitnessSpec",
-    "witness_V",
-    "witness_U",
     "witness_value_fast",
     "find_detecting_witness",
     "SeparableEnsemble",
     "NotSeparableError",
     "geometric_ensemble",
     "separable_ensemble",
-    "partial_transpose",
-    "permutation_operator",
-    "check_mask_equivalence",
-    "check_d_symmetry",
-    "min_eigenvalue",
 ]

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .decompose import SeparableEnsemble, ensemble_from_verdict
+from .decompose import NotSeparableError, SeparableEnsemble, ensemble_from_verdict
 from .moment import (
     DEFAULT_RESIDUAL_TOL,
     RecoveryError,
@@ -113,8 +113,9 @@ def _ensemble_json(e: SeparableEnsemble) -> dict:
 
 
 def _ensemble_certificate(spec: StateSpec, verdict: SeparabilityVerdict, normalize: bool) -> dict:
-    """Ensemble certificate of a separable verdict; raises the verdict's
-    RecoveryError when it carries no measure."""
+    """Ensemble certificate of a separable verdict; raises NotSeparableError
+    for any other verdict, and the verdict's RecoveryError when it carries no
+    measure."""
     return _ensemble_json(ensemble_from_verdict(spec, verdict, normalize))
 
 
@@ -213,6 +214,11 @@ def cmd_check_separable(args, psd_tol: float, residual_tol: float) -> int:
             report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
         elif verdict.witness is not None:
             report["certificate"] = _witness_json(verdict.witness)
+        else:
+            report["certificate_reason"] = (
+                "verdict is marginal: a moment Hankel's minimum eigenvalue lies inside the "
+                "tolerance band, so neither a separable ensemble nor a detecting witness is decisive"
+            )
     _emit(report, started, parsed, decided)
     return _VERDICT_EXIT[verdict.verdict]
 
@@ -253,13 +259,13 @@ def cmd_decompose(args, psd_tol: float, residual_tol: float) -> int:
     decided = time.perf_counter()
     report = _base_report("decompose", spec, psd_tol, residual_tol)
     report["separability"] = _separability_json(verdict)
-    if verdict.verdict != "separable":
+    try:
+        report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
+    except NotSeparableError as exc:
         report["certificate"] = None
-        _emit(report, started, parsed, decided)
-        return _VERDICT_EXIT[verdict.verdict]
-    report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
+        report["certificate_reason"] = str(exc)
     _emit(report, started, parsed, decided)
-    return EXIT_POSITIVE
+    return _VERDICT_EXIT[verdict.verdict]
 
 
 def build_parser() -> argparse.ArgumentParser:

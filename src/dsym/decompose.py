@@ -6,7 +6,9 @@ root of unity, the L vectors sum_i t^(i/2) w^(a i) |i> (a = 0..L-1), each
 taken to the N-th tensor power with weight 1/L, average out all cross terms
 between different digit sums.  A general feasible sequence is a mixture of
 geometric ones given by its recovered atomic measure, plus the top product
-state carrying the mass M.
+state carrying the mass M.  Ensembles are kept as their terms; the
+distance to the state is reported in closed form, and the dense matrix of an
+ensemble, for verification, is ``oracle.ensemble_matrix``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .combinatorics import composition_counts
 from .moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, SeparabilityVerdict, is_separable
-from .states import StateSpec, check_dense_cap, product_powers
+from .states import StateSpec
 
 TOP = "top"
 
@@ -37,15 +39,6 @@ class SeparableEnsemble:
     d: int
     terms: tuple[tuple[float, np.ndarray | str], ...]
     reconstruction_error: float | None = None
-
-    def to_dense(self) -> np.ndarray:
-        """sum_t weight_t |phi_t><phi_t|^(tensor N), as one matrix product."""
-        check_dense_cap(self.N, self.d)
-        top = np.eye(self.d)[self.d - 1]
-        weights = np.array([weight for weight, _ in self.terms], dtype=float)
-        phis = [top if isinstance(phi, str) else phi for _, phi in self.terms]
-        vecs = product_powers(self.N, self.d, np.reshape(phis, (len(phis), self.d)))
-        return (vecs.T * weights) @ vecs.conj()
 
     def normalized(self) -> "SeparableEnsemble":
         """Convex combination of unit-trace product states (weights sum to 1).

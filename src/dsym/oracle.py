@@ -1,21 +1,26 @@
 """Dense brute-force ground truth for small systems.
 
-Everything here materializes full d**N x d**N matrices (subject to the dense
-cap) and is meant for validating the Hankel fast path, not for production
-classification.  Partial transposes are exact entry permutations (digit
-swaps between row and column indices), never Kronecker products of
-transpose maps, so they keep the dtype of their input: the real states of
-``states.build_state`` give real partial transposes, eigensolved in real
-symmetric arithmetic, while complex inputs (product states, separable
+Everything here materializes d**N-sized arrays (subject to the dense cap) and
+is meant for validating the Hankel fast path and its certificates, not for
+production classification; with the dense kernels of ``states``, this is the
+only module that builds them.  Partial transposes are exact entry
+permutations (digit swaps between row and column indices), never Kronecker
+products of transpose maps, so they keep the dtype of their input: the real
+states of ``states.build_state`` give real partial transposes, eigensolved in
+real symmetric arithmetic, while complex inputs (product states, separable
 ensembles) stay complex.  Permutation operators are real.
 
 A spectrum is taken one connected component of the matrix's nonzero
 pattern at a time, with the components found from the matrix alone (no
-digit sums, no Hankel blocks), so the oracle stays independent of `ppt`.
-When every p_k > 0, the components of a diagonal D-symmetric state's
-partial transpose are its digit-sum offset blocks (zero coefficients split
-them further), which makes the eigensolve work on 2^10 32x smaller than one
-1024 x 1024 eigvalsh."""
+digit sums, no Hankel blocks), so the oracle's verdict stays independent of
+`ppt`.  When every p_k > 0, the components of a diagonal D-symmetric state's
+partial transpose are its digit-sum offset blocks, whose index sets
+``offset_supports`` gives (zero coefficients split them further); this makes
+the eigensolve work on 2^10 32x smaller than one 1024 x 1024 eigvalsh.
+
+The dense forms of the production certificates, for tests, are
+``witness_matrix`` (a ``WitnessSpec``) and ``ensemble_matrix`` (a
+``SeparableEnsemble``)."""
 
 from __future__ import annotations
 
@@ -23,9 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import digit_table
+from .combinatorics import composition_counts, digit_table
+from .decompose import SeparableEnsemble
 from .ppt import DEFAULT_PSD_TOL, PsdCheck
-from .states import StateSpec, build_state, check_dense_cap, d_symmetrizer
+from .states import (
+    StateSpec,
+    build_state,
+    check_dense_cap,
+    d_symmetrizer,
+    digit_sum_operator,
+    product_powers,
+)
+from .witnesses import FAMILY_SHIFT, WitnessSpec
 
 
 def _validate_mask(mask, N: int) -> tuple[int, ...]:
@@ -71,6 +85,45 @@ def permutation_operator(sigma, d: int) -> np.ndarray:
     F = np.zeros((dim, dim))
     F[target, np.arange(dim)] = 1.0
     return F
+
+
+def offset_supports(N: int, d: int, m: int) -> list[np.ndarray]:
+    """Index sets of the digit-sum offset blocks of the partial transpose over
+    the first m parties, one per offset s = -m(d-1)..(N-m)(d-1).
+
+    With a and b an index's digit sums over the transposed and the kept group,
+    block s holds the indices with b - a = s.  On it the partial transpose
+    has entries p[a_i + b_j] = P_s[a_i, a_j], and it is zero outside the
+    union of the blocks' index squares.  The supports do not depend on p.
+    """
+    if not 1 <= m <= N - 1:
+        raise ValueError(f"m must be in [1, {N - 1}], got {m}")
+    check_dense_cap(N, d)
+    digits = digit_table(N, d)
+    offset = digits[:, m:].sum(axis=1) - digits[:, :m].sum(axis=1)
+    return [np.flatnonzero(offset == s) for s in range(-m * (d - 1), (N - m) * (d - 1) + 1)]
+
+
+def witness_matrix(w: WitnessSpec) -> np.ndarray:
+    """Dense real matrix of a V or U witness with coefficients c:
+    sum_{k,l} c_k conj(c_l) |dual_j><dual_j| with j = k + l + shift.  That
+    is one real weight per degree j (the convolution of c with conj(c)), and
+    |dual_j><dual_j| = |R_j><R_j| / count_j^2."""
+    coeffs = np.asarray(w.coeffs, dtype=np.complex128)
+    counts = composition_counts(w.N, w.d)
+    shift = FAMILY_SHIFT[w.family]
+    weights = np.zeros(len(counts))
+    weights[shift : shift + 2 * len(coeffs) - 1] = np.convolve(coeffs, np.conj(coeffs)).real
+    return digit_sum_operator(w.N, w.d, weights / counts**2)
+
+
+def ensemble_matrix(e: SeparableEnsemble) -> np.ndarray:
+    """sum_t weight_t |phi_t><phi_t|^(tensor N), as one matrix product."""
+    top = np.eye(e.d)[e.d - 1]
+    weights = np.array([weight for weight, _ in e.terms], dtype=float)
+    phis = [top if isinstance(phi, str) else phi for _, phi in e.terms]
+    vecs = product_powers(e.N, e.d, np.reshape(phis, (len(phis), e.d)))
+    return (vecs.T * weights) @ vecs.conj()
 
 
 def _components(M: np.ndarray) -> list[np.ndarray]:

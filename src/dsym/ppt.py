@@ -4,8 +4,9 @@ Transposing the first m of N parties block-diagonalizes the state over the
 digit-sum offset s between the two party groups; each block is (congruent
 to) the Hankel matrix P_s with entries p[k+l+s].  The state is m-PPT exactly
 when a small, explicitly known family of those Hankel blocks is positive
-semidefinite, so the fast path never touches a d**N-dimensional matrix and
-has no size cap.
+semidefinite, so this module never touches a d**N-dimensional matrix and
+has no size cap.  The index supports of the offset blocks inside the dense
+partial transpose are verification-only: ``oracle.offset_supports``.
 
 Every Hankel matrix of the package, the blocks P_s here and the two moment
 Hankels of `moment`, is built by `hankel` and decided by one full symmetric
@@ -25,8 +26,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .combinatorics import count_compositions, digit_table
-from .states import StateSpec, check_dense_cap
+from .states import StateSpec
 
 DEFAULT_PSD_TOL = 1e-10
 
@@ -208,45 +208,3 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
             ]
     verdict = PPT_WORDS[worst_status(r.status for r in records)]
     return PPTReport(m=m, verdict=verdict, blocks=tuple(records))
-
-
-def block_decomposition(spec: StateSpec, m: int) -> list[np.ndarray]:
-    """Dense real blocks A_s of the partial transpose over the first m parties.
-
-    With a and b an index's digit sums over the transposed and the kept group,
-    A_s[i, j] = p[a_i + b_j] = P_s[a_i, a_j] on the indices with b - a = s, and
-    0 elsewhere.  Summing over s reproduces the dense partial transpose, and
-    distinct blocks have orthogonal supports.
-    """
-    N, d = spec.N, spec.d
-    if not 1 <= m <= N - 1:
-        raise ValueError(f"m must be in [1, {N - 1}], got {m}")
-    dim = check_dense_cap(N, d)
-    p = np.asarray(spec.p, dtype=float)
-    digits = digit_table(N, d)
-    a = digits[:, :m].sum(axis=1)
-    b = digits[:, m:].sum(axis=1)
-    offset = b - a
-    out = []
-    for s in range(-m * (d - 1), (N - m) * (d - 1) + 1):
-        idx = np.flatnonzero(offset == s)
-        block = np.zeros((dim, dim))
-        block[np.ix_(idx, idx)] = p[a[idx][:, None] + b[idx][None, :]]
-        out.append(block)
-    return out
-
-
-def hankel_congruence_scales(N: int, d: int, m: int, s: int) -> np.ndarray:
-    """Squared norms of the product Dicke vectors spanning block s.
-
-    A_s equals D P_s D with D = diag(sqrt of these), so P_s and A_s restricted
-    to its support share eigenvalue signs.
-    """
-    lo, hi = _block_range(N, d, m, s)
-    return np.array(
-        [
-            count_compositions(m, k, d) * count_compositions(N - m, k + s, d)
-            for k in range(lo, hi + 1)
-        ],
-        dtype=float,
-    )

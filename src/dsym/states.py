@@ -9,13 +9,15 @@ float64: its eigensolves then run in real arithmetic.  Only the product
 states carry complex phases: ``product_powers``, ``sigma_z`` and separable
 ensembles stay complex128.  Dense construction is deliberately capped
 (default d**N <= 4096, override with the DSYM_DENSE_CAP environment
-variable): the dense path exists for verification, not production; the
-Hankel classification path in the ppt/moment modules has no cap.
+variable, an integer >= 1): the dense path exists for verification, not
+production; ``states`` and ``oracle`` are the only modules that build dense
+arrays, and the Hankel classification path in the ppt/moment modules has no
+cap.
 
 Dense operators are built by two kernels over ``combinatorics.digit_table``:
 ``digit_sum_operator`` gives sum_k v_k |R_k><R_k| (states, the D-symmetrizer,
-the V/U witnesses) and ``product_powers`` the tensor powers phi^(tensor N)
-(product states, separable ensembles).
+``oracle.witness_matrix``) and ``product_powers`` the tensor powers
+phi^(tensor N) (product states, ``oracle.ensemble_matrix``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ class DenseCapExceeded(ValueError):
 
 
 def dense_cap() -> int:
-    return int(os.environ.get("DSYM_DENSE_CAP", DEFAULT_DENSE_CAP))
+    """The cap on d**N: DSYM_DENSE_CAP, an integer >= 1, or the default."""
+    text = os.environ.get("DSYM_DENSE_CAP", str(DEFAULT_DENSE_CAP))
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise ValueError(f"DSYM_DENSE_CAP must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def check_dense_cap(N: int, d: int) -> int:

@@ -5,7 +5,9 @@ Two quadratic families built on the dual restricted Dicke projectors: the
 family with coefficient vector t (degree index k+l+1).  Their expectation
 values against a diagonal state are exactly the Hankel quadratic forms
 sum s_k conj(s_l) p_{k+l} and sum t_k conj(t_l) p_{k+l+1}, so a negative
-Hankel eigenvector is a detecting witness certificate.
+Hankel eigenvector is a detecting witness certificate.  Everything here
+works on the coefficients alone; the dense witness matrix, for verification,
+is ``oracle.witness_matrix``.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import composition_counts
 from .moment import MomentCheck, is_generalized_moment_solution
 from .ppt import DEFAULT_PSD_TOL, NOT_PSD, hankel
-from .states import StateSpec, check_dense_cap, digit_sum_operator
+from .states import StateSpec
 
 
 def family_v_length(N: int, d: int) -> int:
@@ -51,39 +52,8 @@ class WitnessSpec:
             )
 
 
-def _dual_projector_sum(coeffs: np.ndarray, N: int, d: int, shift: int) -> np.ndarray:
-    """sum_{k,l} c_k conj(c_l) |dual_{k+l+shift}><dual_{k+l+shift}|: one real
-    weight per degree j = k + l + shift (the convolution of c with conj(c)),
-    and |dual_j><dual_j| = |R_j><R_j| / count_j^2."""
-    check_dense_cap(N, d)
-    counts = composition_counts(N, d)
-    weights = np.zeros(len(counts))
-    weights[shift : shift + 2 * len(coeffs) - 1] = np.convolve(coeffs, np.conj(coeffs)).real
-    return digit_sum_operator(N, d, weights / counts**2)
-
-
-def witness_V(coeffs, N: int, d: int) -> np.ndarray:
-    """Dense matrix of the even-family witness for coefficient vector s."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if len(coeffs) != family_v_length(N, d):
-        raise ValueError(
-            f"expected {family_v_length(N, d)} coefficients, got {len(coeffs)}"
-        )
-    return _dual_projector_sum(coeffs, N, d, shift=0)
-
-
-def witness_U(coeffs, N: int, d: int) -> np.ndarray:
-    """Dense matrix of the odd-family witness for coefficient vector t."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    if len(coeffs) != family_u_length(N, d):
-        raise ValueError(
-            f"expected {family_u_length(N, d)} coefficients, got {len(coeffs)}"
-        )
-    return _dual_projector_sum(coeffs, N, d, shift=1)
-
-
 # Degree shift of each family's Hankel form: p_{k+l} for V, p_{k+l+1} for U.
-_SHIFT = {"V": 0, "U": 1}
+FAMILY_SHIFT = {"V": 0, "U": 1}
 
 
 def _hankel_form(coeffs, p, shift: int) -> float:
@@ -100,7 +70,7 @@ def witness_value_fast(w: WitnessSpec, spec: StateSpec) -> float:
             f"witness is for (N={w.N}, d={w.d}) but state has "
             f"(N={spec.N}, d={spec.d})"
         )
-    return _hankel_form(w.coeffs, spec.p, _SHIFT[w.family])
+    return _hankel_form(w.coeffs, spec.p, FAMILY_SHIFT[w.family])
 
 
 def _unit_sign_fixed(vec: np.ndarray) -> np.ndarray:
@@ -131,7 +101,7 @@ def witness_from_check(spec: StateSpec, check: MomentCheck) -> WitnessSpec | Non
         coeffs=coeffs,
         N=spec.N,
         d=spec.d,
-        witness_value=_hankel_form(coeffs, spec.p, _SHIFT[family]),
+        witness_value=_hankel_form(coeffs, spec.p, FAMILY_SHIFT[family]),
     )
 
 

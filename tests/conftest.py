@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dsym import StateSpec
+from dsym.combinatorics import digit_table
 
 # Three-qutrit sequence that is 1-PPT but entangled: the boundary case
 # separating the even-N equivalence from the odd-N failure.
@@ -19,6 +20,14 @@ def ppt_entangled_spec() -> StateSpec:
 
 def random_spec(rng: np.random.Generator, N: int, d: int) -> StateSpec:
     return StateSpec(N=N, d=d, p=tuple(rng.uniform(0.0, 1.0, N * (d - 1) + 1)))
+
+
+def group_sums(N: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digit sums a over the first m parties and b over the other N - m, per
+    basis index: the partial transpose over the first m parties has entries
+    p[a_i + b_j] on its offset blocks."""
+    digits = digit_table(N, d)
+    return digits[:, :m].sum(axis=1), digits[:, m:].sum(axis=1)
 
 
 def geometric_p(N: int, d: int, t: float, w: float = 1.0) -> tuple[float, ...]:

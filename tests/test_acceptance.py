@@ -11,12 +11,18 @@ import numpy as np
 
 from dsym.decompose import geometric_ensemble, separable_ensemble
 from dsym.moment import is_generalized_moment_solution, recover_atomic_measure
-from dsym.oracle import dense_ppt_check, partial_transpose
-from dsym.ppt import block_decomposition, is_m_ppt, is_psd
+from dsym.oracle import (
+    dense_ppt_check,
+    ensemble_matrix,
+    offset_supports,
+    partial_transpose,
+    witness_matrix,
+)
+from dsym.ppt import is_m_ppt, is_psd
 from dsym.states import StateSpec, build_state, sigma_z, top_product_state
-from dsym.witnesses import family_u_length, family_v_length, witness_U, witness_V
+from dsym.witnesses import WitnessSpec, family_u_length, family_v_length
 
-from conftest import PPT_ENTANGLED_P, geometric_p, random_spec
+from conftest import PPT_ENTANGLED_P, geometric_p, group_sums, random_spec
 
 
 def _verdict_bool(verdict: str):
@@ -129,10 +135,6 @@ def test_criterion_3_odd_qubit_case():
     )
 
 
-def _row_support(A):
-    return frozenset(np.nonzero(np.abs(A).sum(axis=1) > 0)[0].tolist())
-
-
 def test_criterion_4_transpose_block_decomposition():
     started = time.perf_counter()
     rng = np.random.default_rng(102)
@@ -142,40 +144,31 @@ def test_criterion_4_transpose_block_decomposition():
         for d in range(2, 8)
         if d**N <= 1024 and N * (d - 1) >= 2
     ]
-    checked_pairs = 0
+    checked_blocks = 0
     for _ in range(100):
         N, d = pool[rng.integers(0, len(pool))]
         m = int(rng.integers(1, N))
         spec = random_spec(rng, N, d)
-        blocks = block_decomposition(spec, m)
+        supports = offset_supports(N, d, m)
         mask = (1,) * m + (0,) * (N - m)
         pt = partial_transpose(build_state(spec), mask, d)
-        assert np.linalg.norm(sum(blocks) - pt) < 1e-12
 
-        # hermitian blocks with pairwise disjoint supports multiply to zero
-        supports = []
-        for A in blocks:
-            assert np.linalg.norm(A - A.conj().T) < 1e-12
-            supports.append(_row_support(A))
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                assert not (supports[i] & supports[j])
-        dim = d**N
-        if dim <= 200:
-            for i in range(len(blocks)):
-                for j in range(i + 1, len(blocks)):
-                    prod = blocks[i] @ blocks[j]
-                    assert np.linalg.norm(prod, 2) < 1e-12
-                    checked_pairs += 1
-        elif dim <= 512:
-            i, j = rng.choice(len(blocks), size=2, replace=False)
-            assert np.linalg.norm(blocks[i] @ blocks[j], 2) < 1e-12
-            checked_pairs += 1
+        # the supports partition the basis, so blocks on them are orthogonal
+        np.testing.assert_array_equal(np.sort(np.concatenate(supports)), np.arange(d**N))
+        # pt vanishes outside the blocks; block s is hermitian with entries
+        # p[a_i + b_j]
+        a, b = group_sums(N, d, m)
+        p = np.asarray(spec.p)
+        outside = np.ones(pt.shape, dtype=bool)
+        for idx in supports:
+            block = pt[np.ix_(idx, idx)]
+            np.testing.assert_array_equal(block, p[a[idx][:, None] + b[idx][None, :]])
+            assert np.linalg.norm(block - block.conj().T) < 1e-12
+            outside[np.ix_(idx, idx)] = False
+            checked_blocks += 1
+        assert not pt[outside].any()
     elapsed = time.perf_counter() - started
-    print(
-        f"criterion 4: PASS (100 specs, {checked_pairs} block products "
-        f"checked directly, {elapsed:.1f}s)"
-    )
+    print(f"criterion 4: PASS (100 specs, {checked_blocks} blocks checked, {elapsed:.1f}s)")
 
 
 def test_criterion_5_mask_position_irrelevance():
@@ -209,11 +202,7 @@ def test_criterion_6_witness_soundness():
         length = family_v_length(N, d) if family == "V" else family_u_length(N, d)
         coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
         z = complex(rng.normal(), rng.normal()) * rng.uniform(0.0, 1.4)
-        W = (
-            witness_V(coeffs, N, d)
-            if family == "V"
-            else witness_U(coeffs, N, d)
-        )
+        W = witness_matrix(WitnessSpec(family, tuple(coeffs), N, d))
         value = np.trace(W @ sigma_z(N, d, z)).real
         assert value >= -1e-10
 
@@ -234,7 +223,7 @@ def test_criterion_7_geometric_reconstruction():
         for t in (0.0, 0.3, 1.0, 2.5):
             ensemble = geometric_ensemble(N, d, t)
             rho = build_state(StateSpec(N, d, geometric_p(N, d, t)))
-            err = np.linalg.norm(ensemble.to_dense() - rho)
+            err = np.linalg.norm(ensemble_matrix(ensemble) - rho)
             assert err < 1e-10, (N, d, t, err)
     elapsed = time.perf_counter() - started
     print(f"criterion 7: PASS (16 geometric reconstructions, {elapsed:.1f}s)")

@@ -302,6 +302,30 @@ def test_decompose_refuses_without_recovered_measure(unrecovered, capsys):
     assert captured.err.startswith("error: no atomic measure met the residual bound")
 
 
+MARGINAL = {"N": 2, "d": 2, "p": [1.0, 0.5, 0.25 - 3e-11]}
+
+
+@pytest.mark.parametrize(
+    "command, spec, verdict, reason",
+    [
+        (["check-separable", "--certificate"], MARGINAL, "marginal", "verdict is marginal: "),
+        (["decompose"], MARGINAL, "marginal", "state is marginal; no separable decomposition exists"),
+        (["decompose"], COUNTEREXAMPLE, "entangled", "state is entangled; no separable decomposition exists"),
+    ],
+    ids=["check-separable-marginal", "decompose-marginal", "decompose-entangled"],
+)
+def test_every_missing_certificate_states_its_reason(tmp_path, capsys, command, spec, verdict, reason):
+    path = write_spec(tmp_path, spec)
+    code = main([command[0], path, *command[1:]])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == (2 if verdict == "marginal" else 1)
+    assert report["separability"]["verdict"] == verdict
+    assert report["certificate"] is None
+    assert report["certificate_reason"].startswith(reason)
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("N", [48, 128])
 def test_geometric_certificate_at_large_n(tmp_path, capsys, N):
     # p_k = 2^k is the moment sequence of one atom at 2, whose moments grow
@@ -402,6 +426,7 @@ def test_decompose_normalized_error_is_against_the_normalized_state(tmp_path, ca
     # two atoms, trace ~4.7e4: the unnormalized ensemble's error must not be
     # reported for the normalized one
     from dsym.decompose import SeparableEnsemble
+    from dsym.oracle import ensemble_matrix
     from dsym.states import StateSpec, build_state
 
     N, d = 6, 2
@@ -415,7 +440,7 @@ def test_decompose_normalized_error_is_against_the_normalized_state(tmp_path, ca
         for t in cert["terms"]
     )
     rho = build_state(StateSpec(N, d, tuple(p)), normalize=True)
-    dense = np.linalg.norm(SeparableEnsemble(N, d, terms).to_dense() - rho)
+    dense = np.linalg.norm(ensemble_matrix(SeparableEnsemble(N, d, terms)) - rho)
     assert abs(cert["reconstruction_error"] - dense) <= 1e-12 * np.linalg.norm(rho)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import dsym.decompose
 import dsym.moment
+import dsym.oracle
 import dsym.states
 from dsym.decompose import (
     TOP,
@@ -18,7 +19,7 @@ from dsym.decompose import (
     separable_ensemble,
 )
 from dsym.moment import RecoveryError, is_separable
-from dsym.oracle import permutation_operator
+from dsym.oracle import ensemble_matrix, permutation_operator
 from dsym.states import StateSpec, build_state
 
 from conftest import geometric_p
@@ -31,7 +32,7 @@ def test_geometric_ensemble_t_zero():
         assert weight == pytest.approx(1 / 4)
         np.testing.assert_allclose(phi, [1.0, 0.0])
     rho0 = build_state(StateSpec(3, 2, (1.0, 0.0, 0.0, 0.0)))
-    np.testing.assert_allclose(ens.to_dense(), rho0, atol=1e-14)
+    np.testing.assert_allclose(ensemble_matrix(ens), rho0, atol=1e-14)
 
 
 def test_geometric_ensemble_negative_t_rejected():
@@ -45,7 +46,7 @@ def test_geometric_ensemble_reconstructs(N, d, t):
     ens = geometric_ensemble(N, d, t)
     assert len(ens.terms) == N * (d - 1) + 1
     rho = build_state(StateSpec(N, d, geometric_p(N, d, t)))
-    assert np.linalg.norm(ens.to_dense() - rho) < 1e-10
+    assert np.linalg.norm(ensemble_matrix(ens) - rho) < 1e-10
 
 
 @pytest.mark.parametrize("N,d", [(3, 2), (2, 3), (3, 4)])
@@ -61,13 +62,13 @@ def test_to_dense_matches_kron_products(N, d):
         vec = np.eye(d)[d - 1] if isinstance(phi, str) else phi
         v = functools.reduce(np.kron, [vec] * N)
         expected = expected + weight * np.outer(v, v.conj())
-    dense = SeparableEnsemble(N, d, tuple(terms)).to_dense()
+    dense = ensemble_matrix(SeparableEnsemble(N, d, tuple(terms)))
     np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-12)
 
 
 def test_ensemble_terms_permutation_symmetric():
     ens = geometric_ensemble(3, 2, 0.7)
-    dense = ens.to_dense()
+    dense = ensemble_matrix(ens)
     for sigma in [(1, 0, 2), (2, 0, 1), (2, 1, 0)]:
         F = permutation_operator(sigma, 2)
         assert np.linalg.norm(F @ dense @ F.conj().T - dense) < 1e-12
@@ -146,7 +147,7 @@ def test_normalized_preserves_state_up_to_trace():
     rho = build_state(spec)
     normalized = ens.normalized()
     np.testing.assert_allclose(
-        normalized.to_dense(),
+        ensemble_matrix(normalized),
         rho / np.trace(rho).real,
         atol=1e-12,
     )
@@ -173,7 +174,7 @@ def test_closed_form_error_matches_dense_distance(normalize):
             continue
         ens = ensemble_from_verdict(spec, verdict, normalize)
         rho = build_state(spec, normalize=normalize)
-        dense = np.linalg.norm(ens.to_dense() - rho)
+        dense = np.linalg.norm(ensemble_matrix(ens) - rho)
         assert abs(ens.reconstruction_error - dense) <= 1e-12 * np.linalg.norm(rho), spec
         checked += 1
     assert checked >= 20
@@ -187,7 +188,7 @@ def test_normalized_error_is_measured_against_the_normalized_state():
     rho = build_state(spec, normalize=True)
     ens = ensemble_from_verdict(spec, is_separable(spec), normalize=True)
     assert sum(w for w, _ in ens.terms) == pytest.approx(1.0)
-    dense = np.linalg.norm(ens.to_dense() - rho)
+    dense = np.linalg.norm(ensemble_matrix(ens) - rho)
     assert abs(ens.reconstruction_error - dense) <= 1e-12 * np.linalg.norm(rho)
 
 
@@ -199,7 +200,7 @@ def test_ensemble_builds_no_dense_matrix_and_ignores_the_cap(monkeypatch):
 
     monkeypatch.setattr(dsym.states, "digit_sum_operator", forbidden)
     monkeypatch.setattr(dsym.states, "product_powers", forbidden)
-    monkeypatch.setattr(dsym.decompose, "product_powers", forbidden)
+    monkeypatch.setattr(dsym.oracle, "product_powers", forbidden)
     spec = StateSpec(40, 3, geometric_p(40, 3, 0.7, w=2.0))
     # ||rho||_F by the same closed form against the zero state; a normalized
     # state has Frobenius norm at most 1

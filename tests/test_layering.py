@@ -1,0 +1,52 @@
+"""Production modules build no dense d**N-sized arrays: only `states` and
+`oracle` do, and the package's top-level names are the production API."""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+
+import pytest
+
+import dsym
+
+PRODUCTION = ("dsym.ppt", "dsym.moment", "dsym.witnesses", "dsym.decompose")
+DENSE_KERNELS = ("check_dense_cap", "digit_table", "digit_sum_operator", "product_powers")
+STATES_BUILDERS = (
+    "build_state",
+    "restricted_dicke_vector",
+    "dual_restricted_dicke",
+    "symmetrizer",
+    "d_symmetrizer",
+    "sigma_z",
+    "top_product_state",
+    "digit_sum_operator",
+    "product_powers",
+)
+
+
+def _imported_modules(module) -> set[str]:
+    """Every module named by an import statement anywhere in the module's
+    source, function bodies included, as an absolute dotted name."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), "dsym")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("name", PRODUCTION)
+def test_production_modules_hold_no_dense_code(name):
+    module = importlib.import_module(name)
+    assert not [k for k in DENSE_KERNELS if k in vars(module)]
+    assert "dsym.oracle" not in _imported_modules(module)
+
+
+def test_top_level_names_hold_no_dense_builder():
+    assert not set(dsym.__all__) & set(STATES_BUILDERS)
+    from_oracle = [n for n in dsym.__all__ if getattr(dsym, n).__module__ == "dsym.oracle"]
+    assert not from_oracle

@@ -13,14 +13,16 @@ from dsym.oracle import (
     check_d_symmetry,
     check_mask_equivalence,
     dense_ppt_check,
+    ensemble_matrix,
     min_eigenvalue,
+    offset_supports,
     partial_transpose,
     permutation_operator,
 )
-from dsym.ppt import PsdCheck, block_decomposition, is_m_ppt
+from dsym.ppt import PsdCheck, is_m_ppt
 from dsym.states import StateSpec, build_state, sigma_z
 
-from conftest import random_spec
+from conftest import group_sums, random_spec
 
 
 def basis_matrix_unit(i, j, dim):
@@ -176,10 +178,14 @@ def test_block_sum_matches_oracle_transpose():
         for _ in range(5):
             spec = random_spec(rng, N, d)
             for m in range(1, N):
-                blocks = block_decomposition(spec, m)
+                # the offset blocks p[a_i + b_j] on their supports sum to pt
+                a, b = group_sums(N, d, m)
+                blocks = np.zeros((d**N, d**N))
+                for idx in offset_supports(N, d, m):
+                    blocks[np.ix_(idx, idx)] = np.asarray(spec.p)[a[idx][:, None] + b[idx][None, :]]
                 mask = (1,) * m + (0,) * (N - m)
                 pt = partial_transpose(build_state(spec), mask, d)
-                assert np.linalg.norm(sum(blocks) - pt) < 1e-12
+                assert np.linalg.norm(blocks - pt) < 1e-12
 
 
 def test_equal_weight_masks_agree_densely():
@@ -203,21 +209,11 @@ def test_separable_ensembles_are_ppt_under_every_mask():
 
     spec = StateSpec(3, 2, tuple(0.6**k for k in range(4)))
     ens = separable_ensemble(spec)
-    rho = ens.to_dense()
+    rho = ensemble_matrix(ens)
     for mask in itertools.product((0, 1), repeat=3):
         pt = partial_transpose(rho, mask, 2)
         ev = np.linalg.eigvalsh(pt)
         assert ev[0] >= -1e-10 * max(1.0, ev[-1])
-
-
-def _offset_supports(spec, m):
-    """Index sets of the nonzero offset blocks of the partial transpose over
-    the first m parties, from `ppt.block_decomposition`."""
-    supports = {
-        frozenset(np.flatnonzero(np.any(A != 0, axis=1)).tolist())
-        for A in block_decomposition(spec, m)
-    }
-    return supports - {frozenset()}
 
 
 def test_dense_ppt_check_eigensolves_real_states_in_real_arithmetic(
@@ -239,7 +235,7 @@ def test_dense_ppt_check_eigensolves_real_states_in_real_arithmetic(
     assert {dtype for dtype, _ in real} == {np.dtype(np.float64)}
     assert {dtype for dtype, _ in seen} == {np.dtype(np.complex128)}
     # each eigensolve sees one block of the split, never the 27 x 27 whole
-    largest = max(map(len, _offset_supports(ppt_entangled_spec, 1)))
+    largest = max(map(len, offset_supports(3, 3, 1)))
     assert largest == 7
     assert max(rows for _, rows in real + seen) <= largest
 
@@ -381,7 +377,7 @@ def test_dense_ppt_check_matches_full_spectrum_on_dense_verify_mix():
 
 def test_components_are_the_offset_blocks():
     # the oracle's split, found from the matrix alone, is the offset
-    # decomposition of `ppt.block_decomposition` whenever every p_k > 0
+    # supports of `offset_supports` whenever every p_k > 0
     rng = np.random.default_rng(82)
     for N, d in [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]:
         spec = random_spec(rng, N, d)
@@ -390,6 +386,7 @@ def test_components_are_the_offset_blocks():
         for m in range(1, N):
             pt = partial_transpose(rho, (1,) * m + (0,) * (N - m), d)
             found = {frozenset(c.tolist()) for c in _components(pt)}
-            assert found == _offset_supports(spec, m), (N, d, m)
+            supports = {frozenset(idx.tolist()) for idx in offset_supports(N, d, m)}
+            assert found == supports - {frozenset()}, (N, d, m)
             if d == 2:
                 assert sorted(map(len, found)) == sorted(comb(N, k) for k in range(N + 1))

@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from dsym.oracle import dense_ppt_check, partial_transpose
+from dsym.combinatorics import count_compositions
+from dsym.oracle import dense_ppt_check, offset_supports, partial_transpose
 from dsym.ppt import (
     STACK_BYTES,
-    block_decomposition,
     hankel,
     hankel_block,
-    hankel_congruence_scales,
     is_m_ppt,
     is_psd,
     worst_status,
 )
 from dsym.states import StateSpec, build_state
 
-from conftest import PPT_ENTANGLED_P, random_spec
+from conftest import PPT_ENTANGLED_P, group_sums, random_spec
 
 
 def test_hankel_block_counterexample_matrices(ppt_entangled_spec):
@@ -159,45 +158,61 @@ def test_is_m_ppt_m_out_of_range():
 
 
 def test_block_decomposition_hand_expanded():
-    spec = StateSpec(2, 2, (1.0, 1.0, 1.0))
-    blocks = block_decomposition(spec, 1)
     # s runs over -1, 0, 1; the s=-1 block is the single term |10><10|
-    a_minus = blocks[0]
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[2, 2] = 1.0
-    np.testing.assert_allclose(a_minus, expected)
+    supports = offset_supports(2, 2, 1)
+    assert [idx.tolist() for idx in supports] == [[2], [0, 3], [1]]
+    pt = partial_transpose(build_state(StateSpec(2, 2, (1.0, 1.0, 1.0))), (1, 0), 2)
+    np.testing.assert_array_equal(pt[np.ix_([2], [2])], [[1.0]])
 
 
 def test_block_sum_equals_partial_transpose():
+    # pt is zero outside the blocks, and block s holds p[a_i + b_j]
     rng = np.random.default_rng(12)
     for _ in range(10):
         spec = random_spec(rng, 2, 3)
-        blocks = block_decomposition(spec, 1)
+        supports = offset_supports(2, 3, 1)
         pt = partial_transpose(build_state(spec), (1, 0), 3)
-        assert np.linalg.norm(sum(blocks) - pt) < 1e-12
+        a, b = group_sums(2, 3, 1)
+        outside = np.ones(pt.shape, dtype=bool)
+        for idx in supports:
+            outside[np.ix_(idx, idx)] = False
+            np.testing.assert_array_equal(
+                pt[np.ix_(idx, idx)], np.asarray(spec.p)[a[idx][:, None] + b[idx][None, :]]
+            )
+        assert not pt[outside].any()
 
 
 def test_blocks_mutually_orthogonal():
+    # disjoint supports that cover every index: blocks on them multiply to zero
     spec = StateSpec(3, 2, (1.0, 1.0, 1.0, 1.0))
-    blocks = block_decomposition(spec, 1)
-    for i, a in enumerate(blocks):
-        assert np.linalg.norm(a - a.conj().T) < 1e-14  # hermitian
-        for j, b in enumerate(blocks):
-            if i != j:
-                assert np.abs(a @ b).max() == 0.0
+    supports = offset_supports(3, 2, 1)
+    np.testing.assert_array_equal(np.sort(np.concatenate(supports)), np.arange(8))
+    pt = partial_transpose(build_state(spec), (1, 0, 0), 2)
+    for idx in supports:
+        block = pt[np.ix_(idx, idx)]
+        assert np.linalg.norm(block - block.conj().T) < 1e-14  # hermitian
 
 
 def test_block_eigenvalue_signs_match_hankel():
-    # the dense block is a positive congruence of the Hankel block
+    # the block on support s is a positive congruence D P_s D of the Hankel
+    # block, D^2 counting the support's indices with each first-group sum
     rng = np.random.default_rng(13)
-    spec = random_spec(rng, 3, 3)
-    blocks = block_decomposition(spec, 1)
-    for s, dense in zip(range(-2, 5), blocks):
-        hb = hankel_block(spec.p, 3, 3, 1, s)
-        scales = hankel_congruence_scales(3, 3, 1, s)
+    N, d, m = 3, 3, 1
+    spec = random_spec(rng, N, d)
+    pt = partial_transpose(build_state(spec), (1, 0, 0), d)
+    a, _ = group_sums(N, d, m)
+    for s, idx in zip(range(-2, 5), offset_supports(N, d, m)):
+        hb = hankel_block(spec.p, N, d, m, s)
+        counts = np.bincount(a[idx], minlength=hb.hi + 1)
+        assert len(counts) == hb.hi + 1 and not counts[: hb.lo].any()
+        scales = counts[hb.lo :]
+        assert scales.tolist() == [
+            count_compositions(m, k, d) * count_compositions(N - m, k + s, d)
+            for k in range(hb.lo, hb.hi + 1)
+        ]
         D = np.diag(np.sqrt(scales))
         expected = D @ hb.matrix @ D
-        ev_dense = np.linalg.eigvalsh(dense)
+        ev_dense = np.linalg.eigvalsh(pt[np.ix_(idx, idx)])
         nonzero = ev_dense[np.abs(ev_dense) > 1e-12]
         ev_small = np.sort(np.linalg.eigvalsh(expected))
         ev_small = ev_small[np.abs(ev_small) > 1e-12]

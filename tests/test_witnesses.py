@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dsym.moment import is_separable
+from dsym.oracle import witness_matrix
 from dsym.states import (
     StateSpec,
     build_state,
@@ -19,12 +20,14 @@ from dsym.witnesses import (
     family_u_length,
     family_v_length,
     find_detecting_witness,
-    witness_U,
-    witness_V,
     witness_value_fast,
 )
 
 from conftest import geometric_p, random_spec
+
+
+def dense_witness(family, coeffs, N, d):
+    return witness_matrix(WitnessSpec(family, tuple(coeffs), N, d))
 
 
 def random_coeffs(rng, length):
@@ -40,7 +43,7 @@ def test_witness_v_single_term():
     N, d = 3, 2
     coeffs = np.zeros(family_v_length(N, d))
     coeffs[0] = 1.0
-    V = witness_V(coeffs, N, d)
+    V = dense_witness("V", coeffs, N, d)
     expected = np.zeros((8, 8), dtype=complex)
     expected[0, 0] = 1.0
     np.testing.assert_allclose(V, expected)
@@ -56,7 +59,7 @@ def test_witness_u_single_term():
     N, d = 2, 3
     coeffs = np.zeros(family_u_length(N, d))
     coeffs[0] = 1.0
-    U = witness_U(coeffs, N, d)
+    U = dense_witness("U", coeffs, N, d)
     spec = StateSpec(N, d, (0.0, 0.5, 0.0, 0.0, 0.0))
     rho = build_state(spec)
     assert np.trace(U @ rho).real == pytest.approx(0.5)
@@ -66,7 +69,7 @@ def test_witness_u_single_term():
 
 def test_witness_wrong_length_rejected():
     with pytest.raises(ValueError):
-        witness_V((1.0, 0.0), 3, 3)
+        WitnessSpec("U", (1.0, 0.0, 0.0, 0.0), 3, 3)
     with pytest.raises(ValueError):
         WitnessSpec("V", (1.0,), 3, 3)
     with pytest.raises(ValueError):
@@ -78,8 +81,8 @@ def test_witnesses_are_d_symmetric_hermitian():
     for N, d in [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)]:
         PD = d_symmetrizer(N, d)
         for _ in range(5):
-            V = witness_V(random_coeffs(rng, family_v_length(N, d)), N, d)
-            U = witness_U(random_coeffs(rng, family_u_length(N, d)), N, d)
+            V = dense_witness("V", random_coeffs(rng, family_v_length(N, d)), N, d)
+            U = dense_witness("U", random_coeffs(rng, family_u_length(N, d)), N, d)
             for W in (V, U):
                 assert np.linalg.norm(W - W.conj().T) < 1e-12
                 assert np.linalg.norm(PD @ W @ PD - W) < 1e-10
@@ -91,8 +94,8 @@ def test_nonnegative_on_pure_separable_states():
         N = int(rng.integers(2, 5))
         d = int(rng.integers(2, 4))
         z = complex(rng.normal(), rng.normal()) * rng.uniform(0, 2)
-        V = witness_V(random_coeffs(rng, family_v_length(N, d)), N, d)
-        U = witness_U(random_coeffs(rng, family_u_length(N, d)), N, d)
+        V = dense_witness("V", random_coeffs(rng, family_v_length(N, d)), N, d)
+        U = dense_witness("U", random_coeffs(rng, family_u_length(N, d)), N, d)
         sig = sigma_z(N, d, z)
         top = top_product_state(N, d)
         for W in (V, U):
@@ -107,7 +110,7 @@ def test_closed_form_values_on_geometric_states():
         s = random_coeffs(rng, family_v_length(N, d))
         z = complex(rng.normal(), rng.normal())
         c2 = geometric_vector_normalizer_sq(z, d)
-        got = np.trace(witness_V(s, N, d) @ sigma_z(N, d, z)).real
+        got = np.trace(dense_witness("V", s, N, d) @ sigma_z(N, d, z)).real
         expected = c2**N * abs(sum(s[k] * abs(z) ** (2 * k) for k in range(len(s)))) ** 2
         assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
@@ -116,7 +119,7 @@ def test_closed_form_values_on_geometric_states():
         t = random_coeffs(rng, family_u_length(N, d))
         z = complex(rng.normal(), rng.normal())
         c2 = geometric_vector_normalizer_sq(z, d)
-        got = np.trace(witness_U(t, N, d) @ sigma_z(N, d, z)).real
+        got = np.trace(dense_witness("U", t, N, d) @ sigma_z(N, d, z)).real
         expected = (
             c2**N
             * abs(z) ** 2
@@ -131,8 +134,8 @@ def test_top_state_values():
         s = random_coeffs(rng, family_v_length(N, d))
         t = random_coeffs(rng, family_u_length(N, d))
         top = top_product_state(N, d)
-        tv = np.trace(witness_V(s, N, d) @ top).real
-        tu = np.trace(witness_U(t, N, d) @ top).real
+        tv = np.trace(dense_witness("V", s, N, d) @ top).real
+        tu = np.trace(dense_witness("U", t, N, d) @ top).real
         if (N * (d - 1)) % 2 == 0:
             assert tv == pytest.approx(abs(s[-1]) ** 2, rel=1e-12)
             assert tu == pytest.approx(0.0, abs=1e-14)
@@ -152,8 +155,7 @@ def test_fast_value_matches_dense_trace():
         length = family_v_length(N, d) if family == "V" else family_u_length(N, d)
         coeffs = random_coeffs(rng, length)
         w = WitnessSpec(family, tuple(coeffs), N, d)
-        dense = witness_V(coeffs, N, d) if family == "V" else witness_U(coeffs, N, d)
-        dense_val = np.trace(dense @ rho).real
+        dense_val = np.trace(witness_matrix(w) @ rho).real
         assert witness_value_fast(w, spec) == pytest.approx(
             dense_val, rel=1e-10, abs=1e-10
         )
@@ -183,7 +185,7 @@ def test_detecting_witness_on_entangled_state(ppt_entangled_spec):
         w.witness_value, rel=1e-10
     )
     # and matches the dense expectation value
-    dense = witness_V(np.array(w.coeffs), 3, 3)
+    dense = witness_matrix(w)
     rho = build_state(ppt_entangled_spec)
     assert np.trace(dense @ rho).real == pytest.approx(w.witness_value, rel=1e-10)
 
