@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .decompose import NotSeparableError, SeparableEnsemble, ensemble_from_verdict
+from .decompose import MARGINAL_REASON, NotSeparableError, SeparableEnsemble, ensemble_from_verdict
 from .moment import (
     DEFAULT_RESIDUAL_TOL,
     RecoveryError,
@@ -86,7 +86,7 @@ def _tolerance(text: str) -> float:
 
 def _complex_pairs(values) -> list[list[float]]:
     v = np.asarray(values)
-    return np.column_stack((v.real, v.imag)).tolist()
+    return np.stack((v.real, v.imag), axis=-1).tolist()
 
 
 def _witness_json(w: WitnessSpec) -> dict:
@@ -99,24 +99,16 @@ def _witness_json(w: WitnessSpec) -> dict:
 
 
 def _ensemble_json(e: SeparableEnsemble) -> dict:
-    terms = []
-    for weight, phi in e.terms:
-        if isinstance(phi, str):
-            terms.append({"weight": weight, "vector": "top"})
-        else:
-            terms.append({"weight": weight, "vector": _complex_pairs(phi)})
+    vectors = [phi for _, phi in e.terms if not isinstance(phi, str)]
+    pairs = iter(_complex_pairs(np.stack(vectors)) if vectors else ())
     return {
         "type": "ensemble",
-        "terms": terms,
+        "terms": [
+            {"weight": w, "vector": "top" if isinstance(phi, str) else next(pairs)}
+            for w, phi in e.terms
+        ],
         "reconstruction_error": e.reconstruction_error,
     }
-
-
-def _ensemble_certificate(spec: StateSpec, verdict: SeparabilityVerdict, normalize: bool) -> dict:
-    """Ensemble certificate of a separable verdict; raises NotSeparableError
-    for any other verdict, and the verdict's RecoveryError when it carries no
-    measure."""
-    return _ensemble_json(ensemble_from_verdict(spec, verdict, normalize))
 
 
 def _separability_json(v: SeparabilityVerdict) -> dict:
@@ -167,13 +159,19 @@ def _base_report(command: str, spec: StateSpec, psd_tol: float, residual_tol: fl
 def _emit(report: dict, started: float, parsed: float, decided: float) -> None:
     """Write strict JSON on one compact line, or nothing: a non-finite value
     raises ValueError.  The times are perf_counter readings at the command's
-    start, after the spec parse and after the verdict."""
+    start, after the spec parse and after the verdict; `report_s` runs from
+    the verdict to this call, which receives the finished report."""
+    reported = time.perf_counter()
     report["timings"] = {
         "total_s": time.perf_counter() - started,
         "parse_s": parsed - started,
         "decide_s": decided - parsed,
+        "report_s": reported - decided,
     }
-    sys.stdout.write(json.dumps(report, allow_nan=False, separators=(",", ":")) + "\n")
+    # every report is a fresh tree of dicts, lists and scalars built in this
+    # module, so it cannot hold a cycle and the encoder need not look for one
+    text = json.dumps(report, allow_nan=False, check_circular=False, separators=(",", ":"))
+    sys.stdout.write(text + "\n")
 
 
 _VERDICT_EXIT = {
@@ -211,14 +209,12 @@ def cmd_check_separable(args, psd_tol: float, residual_tol: float) -> int:
             report["certificate_reason"] = str(verdict.recovery_error)
             print(f"certificate unavailable: {verdict.recovery_error}", file=sys.stderr)
         elif verdict.verdict == "separable":
-            report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
+            ensemble = ensemble_from_verdict(spec, verdict, args.normalize)
+            report["certificate"] = _ensemble_json(ensemble)
         elif verdict.witness is not None:
             report["certificate"] = _witness_json(verdict.witness)
         else:
-            report["certificate_reason"] = (
-                "verdict is marginal: a moment Hankel's minimum eigenvalue lies inside the "
-                "tolerance band, so neither a separable ensemble nor a detecting witness is decisive"
-            )
+            report["certificate_reason"] = MARGINAL_REASON
     _emit(report, started, parsed, decided)
     return _VERDICT_EXIT[verdict.verdict]
 
@@ -260,7 +256,7 @@ def cmd_decompose(args, psd_tol: float, residual_tol: float) -> int:
     report = _base_report("decompose", spec, psd_tol, residual_tol)
     report["separability"] = _separability_json(verdict)
     try:
-        report["certificate"] = _ensemble_certificate(spec, verdict, args.normalize)
+        report["certificate"] = _ensemble_json(ensemble_from_verdict(spec, verdict, args.normalize))
     except NotSeparableError as exc:
         report["certificate"] = None
         report["certificate_reason"] = str(exc)

@@ -6,7 +6,9 @@ root of unity, the L vectors sum_i t^(i/2) w^(a i) |i> (a = 0..L-1), each
 taken to the N-th tensor power with weight 1/L, average out all cross terms
 between different digit sums.  A general feasible sequence is a mixture of
 geometric ones given by its recovered atomic measure, plus the top product
-state carrying the mass M.  Ensembles are kept as their terms; the
+state carrying the mass M.  An atom's L vectors come from one Fourier power
+``omega ** outer(a, i)`` scaled by the amplitudes t^(i/2), as one (L, d)
+array whose rows are the terms.  Ensembles are kept as their terms; the
 distance to the state is reported in closed form, and the dense matrix of an
 ensemble, for verification, is ``oracle.ensemble_matrix``.
 """
@@ -24,9 +26,14 @@ from .states import StateSpec
 
 TOP = "top"
 
+MARGINAL_REASON = (
+    "verdict is marginal: a moment Hankel's minimum eigenvalue lies inside the "
+    "tolerance band, so neither a separable ensemble nor a detecting witness is decisive"
+)
+
 
 class NotSeparableError(ValueError):
-    """Decomposition requested for a state that is not separable."""
+    """Decomposition requested for a state not decided separable."""
 
 
 @dataclass(frozen=True)
@@ -65,19 +72,21 @@ class SeparableEnsemble:
         )
 
 
-def geometric_ensemble(N: int, d: int, t: float) -> SeparableEnsemble:
-    """Fourier product-vector ensemble reconstructing the state with
-    coefficients t^k; returns N(d-1)+1 terms of equal weight."""
-    if t < 0:
-        raise ValueError(f"geometric ratio t must be >= 0, got {t}")
+def _fourier_vectors(N: int, d: int, t: float) -> np.ndarray:
+    """Rows a = 0..L-1: the Fourier vectors sum_i t^(i/2) w^(a i) |i> of ratio t."""
+    if not (math.isfinite(t) and t >= 0):
+        raise ValueError(f"geometric ratio t must be finite and >= 0, got {t}")
     L = N * (d - 1) + 1
     omega = np.exp(2j * np.pi / L)
     amps = np.array([float(t) ** (i / 2) for i in range(d)])
-    terms = []
-    for a in range(L):
-        phases = omega ** (a * np.arange(d))
-        terms.append((1.0 / L, amps * phases))
-    return SeparableEnsemble(N, d, tuple(terms))
+    return amps * omega ** np.outer(np.arange(L), np.arange(d))
+
+
+def geometric_ensemble(N: int, d: int, t: float) -> SeparableEnsemble:
+    """Fourier product-vector ensemble reconstructing the state with
+    coefficients t^k; returns N(d-1)+1 terms of equal weight."""
+    vectors = _fourier_vectors(N, d, t)
+    return SeparableEnsemble(N, d, tuple((1.0 / len(vectors), phi) for phi in vectors))
 
 
 def separable_ensemble(
@@ -97,6 +106,8 @@ def ensemble_from_verdict(
     spec: StateSpec, verdict: SeparabilityVerdict, normalize: bool = False
 ) -> SeparableEnsemble:
     """Ensemble certifying an already computed separability verdict."""
+    if verdict.verdict == "marginal":
+        raise NotSeparableError(MARGINAL_REASON)
     if verdict.verdict != "separable":
         raise NotSeparableError(
             f"state is {verdict.verdict}; no separable decomposition exists"
@@ -135,6 +146,7 @@ def ensemble_from_measure(
     reconstruction_error is the closed form against p; no dense matrix is
     built."""
     N, d = spec.N, spec.d
+    L = N * (d - 1) + 1
     terms: list[tuple[float, np.ndarray | str]] = []
     for t, w in measure.atoms:
         if t == 0.0:
@@ -143,8 +155,8 @@ def ensemble_from_measure(
             vec[0] = 1.0
             terms.append((w, vec))
             continue
-        for sub_w, phi in geometric_ensemble(N, d, t).terms:
-            terms.append((w * sub_w, phi))
+        weight = w * (1.0 / L)
+        terms.extend((weight, phi) for phi in _fourier_vectors(N, d, t))
     if measure.top_mass > 0:
         terms.append((measure.top_mass, TOP))
     ensemble = SeparableEnsemble(N, d, tuple(terms))

@@ -34,6 +34,15 @@ def geometric_p(N: int, d: int, t: float, w: float = 1.0) -> tuple[float, ...]:
     return tuple(w * t**k for k in range(N * (d - 1) + 1))
 
 
+def fourier_terms(N: int, d: int, t: float) -> list[tuple[float, np.ndarray]]:
+    """The Fourier ensemble of ratio t built one vector at a time: the
+    reference for the array-built ``geometric_ensemble``."""
+    L = N * (d - 1) + 1
+    omega = np.exp(2j * np.pi / L)
+    amps = np.array([float(t) ** (i / 2) for i in range(d)])
+    return [(1.0 / L, amps * omega ** (a * np.arange(d))) for a in range(L)]
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """Replace attributes of a module with call-counting wrappers; returns a

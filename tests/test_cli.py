@@ -13,9 +13,11 @@ import dsym.cli
 import dsym.moment
 import dsym.oracle
 from dsym.cli import main, parse_spec_dict
-from dsym.moment import RecoveryError
+from dsym.decompose import ensemble_from_measure, separable_ensemble
+from dsym.moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, RecoveryError, is_separable
+from dsym.ppt import DEFAULT_PSD_TOL
 
-from conftest import geometric_p
+from conftest import fourier_terms, geometric_p
 
 COUNTEREXAMPLE = {
     "N": 3,
@@ -97,9 +99,9 @@ def test_timings_name_each_stage(tmp_path, capsys, argv):
     code, report = run(capsys, [argv[0], path, *argv[1:]])
     assert code == 0
     timings = report["timings"]
-    assert list(timings) == ["total_s", "parse_s", "decide_s"]
+    assert list(timings) == ["total_s", "parse_s", "decide_s", "report_s"]
     assert min(timings.values()) >= 0
-    assert timings["parse_s"] + timings["decide_s"] <= timings["total_s"]
+    assert timings["parse_s"] + timings["decide_s"] + timings["report_s"] <= timings["total_s"]
 
 
 def test_rational_strings_parse_exactly():
@@ -309,7 +311,7 @@ MARGINAL = {"N": 2, "d": 2, "p": [1.0, 0.5, 0.25 - 3e-11]}
     "command, spec, verdict, reason",
     [
         (["check-separable", "--certificate"], MARGINAL, "marginal", "verdict is marginal: "),
-        (["decompose"], MARGINAL, "marginal", "state is marginal; no separable decomposition exists"),
+        (["decompose"], MARGINAL, "marginal", "verdict is marginal: a moment Hankel's minimum eigenvalue"),
         (["decompose"], COUNTEREXAMPLE, "entangled", "state is entangled; no separable decomposition exists"),
     ],
     ids=["check-separable-marginal", "decompose-marginal", "decompose-entangled"],
@@ -450,6 +452,52 @@ def test_decompose_reports_error_above_the_dense_cap(tmp_path, capsys, monkeypat
     code, report = run(capsys, ["decompose", path])
     assert code == 0
     assert 0.0 <= report["certificate"]["reconstruction_error"] < 1e-10
+
+
+# atoms at 0, 0.4 and 1.7 plus a top mass: every kind of ensemble term
+MIXED_MEASURE = MeasureAtoms(
+    atoms=((0.0, 0.2), (0.4, 0.3), (1.7, 0.1)), top_mass=0.05, moment_residual=0.0
+)
+MIXED = {"N": 3, "d": 3, "p": MIXED_MEASURE.reproduced(6).tolist()}
+
+
+def _per_term_ensemble_json(terms, reconstruction_error):
+    """An ensemble certificate converted one term at a time."""
+    out = []
+    for weight, phi in terms:
+        if isinstance(phi, str):
+            out.append({"weight": weight, "vector": "top"})
+        else:
+            out.append({"weight": weight, "vector": np.column_stack((phi.real, phi.imag)).tolist()})
+    return {"type": "ensemble", "terms": out, "reconstruction_error": reconstruction_error}
+
+
+def test_ensemble_json_matches_per_term_reference():
+    ensemble = ensemble_from_measure(parse_spec_dict(MIXED), MIXED_MEASURE)
+    # one term for the atom at 0, L = 7 per interior atom, the top state last
+    assert len(ensemble.terms) == 1 + 7 + 7 + 1 and ensemble.terms[-1][1] == "top"
+    got = json.dumps(dsym.cli._ensemble_json(ensemble))
+    assert got == json.dumps(_per_term_ensemble_json(ensemble.terms, ensemble.reconstruction_error))
+
+
+def test_decompose_stdout_matches_per_term_reference(tmp_path, capsys):
+    spec = parse_spec_dict(MIXED)
+    verdict = is_separable(spec)
+    atoms = verdict.atoms
+    assert len(atoms.atoms) == 3 and atoms.atoms[0][0] == 0.0 and atoms.top_mass > 0
+    assert main(["decompose", write_spec(tmp_path, MIXED)]) == 0
+    out = capsys.readouterr().out
+    # the ensemble as built one Fourier vector at a time, top state last
+    terms = [(atoms.atoms[0][1], np.eye(3, dtype=complex)[0])]
+    for t, w in atoms.atoms[1:]:
+        terms += [(w * sub_w, phi) for sub_w, phi in fourier_terms(3, 3, t)]
+    terms.append((atoms.top_mass, "top"))
+    error = separable_ensemble(spec).reconstruction_error
+    expected = dsym.cli._base_report("decompose", spec, DEFAULT_PSD_TOL, DEFAULT_RESIDUAL_TOL)
+    expected["separability"] = dsym.cli._separability_json(verdict)
+    expected["certificate"] = _per_term_ensemble_json(terms, error)
+    expected["timings"] = json.loads(out)["timings"]
+    assert out == json.dumps(expected, separators=(",", ":")) + "\n"
 
 
 def test_decompose_entangled_exit_1(tmp_path, capsys):

@@ -22,7 +22,7 @@ from dsym.moment import RecoveryError, is_separable
 from dsym.oracle import ensemble_matrix, permutation_operator
 from dsym.states import StateSpec, build_state
 
-from conftest import geometric_p
+from conftest import fourier_terms, geometric_p
 
 
 def test_geometric_ensemble_t_zero():
@@ -38,6 +38,23 @@ def test_geometric_ensemble_t_zero():
 def test_geometric_ensemble_negative_t_rejected():
     with pytest.raises(ValueError):
         geometric_ensemble(2, 2, -0.5)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_geometric_ensemble_non_finite_t_rejected(t):
+    with pytest.raises(ValueError, match="geometric ratio t must be finite and >= 0"):
+        geometric_ensemble(2, 2, t)
+
+
+@pytest.mark.parametrize("N,d", [(3, 2), (2, 3), (3, 4), (5, 2)])
+@pytest.mark.parametrize("t", [0.0, 0.4, 1.7])
+def test_geometric_ensemble_is_bit_identical_to_per_vector_terms(N, d, t):
+    terms = geometric_ensemble(N, d, t).terms
+    reference = fourier_terms(N, d, t)
+    assert len(terms) == len(reference)
+    for (weight, phi), (ref_weight, ref_phi) in zip(terms, reference):
+        assert weight == ref_weight
+        assert phi.dtype == ref_phi.dtype and phi.tobytes() == ref_phi.tobytes()
 
 
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (2, 3), (3, 3)])
