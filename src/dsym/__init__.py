@@ -22,16 +22,13 @@ from .moment import (
     MeasureAtoms,
     RecoveryError,
     SeparabilityVerdict,
-    check_main_theorem,
     is_generalized_moment_solution,
     is_separable,
     moment_hankels,
     recover_atomic_measure,
 )
 from .ppt import (
-    HankelBlock,
     PPTReport,
-    hankel_block,
     is_m_ppt,
     is_psd,
 )
@@ -39,11 +36,7 @@ from .states import (
     DenseCapExceeded,
     StateSpec,
 )
-from .witnesses import (
-    WitnessSpec,
-    find_detecting_witness,
-    witness_value_fast,
-)
+from .witnesses import WitnessSpec
 
 __all__ = [
     "count_compositions",
@@ -51,9 +44,7 @@ __all__ = [
     "tuple_to_index",
     "StateSpec",
     "DenseCapExceeded",
-    "HankelBlock",
     "PPTReport",
-    "hankel_block",
     "is_m_ppt",
     "is_psd",
     "MeasureAtoms",
@@ -63,10 +54,7 @@ __all__ = [
     "is_generalized_moment_solution",
     "recover_atomic_measure",
     "is_separable",
-    "check_main_theorem",
     "WitnessSpec",
-    "witness_value_fast",
-    "find_detecting_witness",
     "SeparableEnsemble",
     "NotSeparableError",
     "geometric_ensemble",

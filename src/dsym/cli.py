@@ -290,6 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="override only the measure-recovery residual tolerance",
         )
 
+    def normalize(p):
+        p.add_argument(
+            "--normalize",
+            action="store_true",
+            help="emit ensemble certificates as convex combinations of unit-trace products",
+        )
+
     p = sub.add_parser("check-ppt", help="decide m-PPT via Hankel blocks")
     common(p)
     p.add_argument("--m", type=int, required=True, help="number of transposed parties")
@@ -302,11 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="attach a separable ensemble or a detecting witness",
     )
-    p.add_argument(
-        "--normalize",
-        action="store_true",
-        help="emit ensemble certificates as convex combinations of unit-trace products",
-    )
+    normalize(p)
     p.set_defaults(func=cmd_check_separable)
 
     p = sub.add_parser(
@@ -322,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="emit a separable decomposition")
     common(p)
-    p.add_argument("--normalize", action="store_true")
+    normalize(p)
     p.set_defaults(func=cmd_decompose)
 
     return parser

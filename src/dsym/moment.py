@@ -26,11 +26,11 @@ from .ppt import (
     PSD,
     PsdCheck,
     hankel,
-    is_m_ppt,
     is_psd,
     worst_status,
 )
 from .states import StateSpec
+from .witnesses import witness_from_check
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 
@@ -63,17 +63,12 @@ class MomentCheck:
     even: PsdCheck  # each with its lowest eigenvector in .vec (None when empty)
     odd: PsdCheck
 
-    @property
-    def strict(self) -> bool:
-        """Both Hankels strictly positive definite."""
-        return self.even.strict and self.odd.strict
-
 
 def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentCheck:
     """Feasibility of the moment sequence p, deciding each moment Hankel with
     a single eigendecomposition whose lowest eigenvector is kept for the
     witness."""
-    even, odd = (is_psd(h, tol, vector=True) for h in moment_hankels(p))
+    even, odd = (is_psd(h, tol) for h in moment_hankels(p))
     return MomentCheck(MOMENT_WORDS[worst_status((even.status, odd.status))], even, odd)
 
 
@@ -174,7 +169,9 @@ def _clean_atoms(nodes: np.ndarray, weights: np.ndarray, n: int, scale: float):
 
 def _evaluate_candidate(atom_list, p: np.ndarray, bound: float) -> MeasureAtoms:
     """Check an atom list against the full sequence; absorb the top-moment
-    surplus into M when nonnegative."""
+    surplus into M when nonnegative.  Only a surplus that is rounding of p_n
+    itself is dropped: p_n can lie far below the absolute bound, and
+    dropping a real surplus there would leave p_n wrong by a large fraction."""
     n = len(p) - 1
     candidate = MeasureAtoms(tuple(atom_list), 0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -184,7 +181,7 @@ def _evaluate_candidate(atom_list, p: np.ndarray, bound: float) -> MeasureAtoms:
     top_mass = p[n] - mom[n]
     if top_mass < -bound:
         raise _Rejected(len(atom_list), f"negative top mass {top_mass:.3e}")
-    if top_mass <= bound:
+    if top_mass <= min(bound, 1e-9 * abs(p[n])):
         top_mass = 0.0
     reproduced = mom.copy()
     reproduced[n] += top_mass
@@ -285,8 +282,6 @@ def is_separable(
     check = is_generalized_moment_solution(spec.p, psd_tol)
     verdict = _SEPARABILITY[check.verdict]
     if verdict == "entangled":
-        from .witnesses import witness_from_check
-
         if check.even.status == NOT_PSD and check.odd.status == NOT_PSD:
             basis = "both"
         elif check.even.status == NOT_PSD:
@@ -302,37 +297,3 @@ def is_separable(
     except RecoveryError as exc:
         return SeparabilityVerdict(verdict, "both", check.even, check.odd, recovery_error=exc)
     return SeparabilityVerdict(verdict, "both", check.even, check.odd, atoms)
-
-
-@dataclass(frozen=True)
-class MainTheoremRecord:
-    """Joint run of the three equivalent classifications (separability,
-    half-party PPT, moment feasibility) with an agreement flag; marginal
-    verdicts are excluded from the agreement comparison.  Separability is
-    read off the moment check, so PPT is the only independent vote."""
-
-    m: int
-    separable: str
-    ppt: str
-    moment: str
-    agree: bool
-
-
-def check_main_theorem(spec: StateSpec, psd_tol: float = DEFAULT_PSD_TOL) -> MainTheoremRecord:
-    N, d = spec.N, spec.d
-    if N % 2 == 0:
-        m = N // 2
-    elif d == 2:
-        m = (N - 1) // 2
-    else:
-        raise ValueError(
-            "the equivalence requires N even, or d = 2 with N odd; "
-            f"got N={N}, d={d}"
-        )
-    moment_check = is_generalized_moment_solution(spec.p, psd_tol)
-    ppt_report = is_m_ppt(spec, m, psd_tol)
-    agree = "marginal" in (moment_check.verdict, ppt_report.verdict) or (
-        (moment_check.verdict == "yes") == (ppt_report.verdict == "ppt")
-    )
-    separable = _SEPARABILITY[moment_check.verdict]
-    return MainTheoremRecord(m, separable, ppt_report.verdict, moment_check.verdict, agree)

@@ -60,8 +60,9 @@ class PsdCheck:
     lam_min: float | None  # None for an empty matrix
     lam_max: float | None
     band: float | None  # lam_min below -band is decisive; None for an empty matrix
-    # unit eigenvector of lam_min when asked for; None otherwise or when empty.
-    # Left out of ==, which cannot compare arrays; the matrix determines it.
+    # unit eigenvector of lam_min from `is_psd`; None when empty and on the
+    # stacked m-PPT block records.  Left out of ==, which cannot compare
+    # arrays; the matrix determines it.
     vec: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -87,24 +88,18 @@ class PsdCheck:
             return None
         return self.lam_min + self.band
 
-    @property
-    def strict(self) -> bool:
-        """Positive definite beyond the band (an empty matrix counts)."""
-        return self.lam_min is None or self.lam_min > self.band
 
-
-def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL, vector: bool = False) -> PsdCheck:
-    """PSD status of a real symmetric matrix from one eigendecomposition;
-    with vector=True (the moment Hankels, whose vector is a witness) it also
-    keeps the lowest eigenvector."""
+def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL) -> PsdCheck:
+    """PSD status of a real symmetric matrix, with its lowest eigenvector
+    (a witness when the matrix is a moment Hankel), from one
+    eigendecomposition."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return PsdCheck(PSD, None, None, None)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    ev, vecs = _spectrum(M, vector)
-    vec = None if vecs is None else vecs[:, 0]
-    return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel, vec)
+    ev, vecs = _spectrum(M, True)
+    return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel, vecs[:, 0])
 
 
 def _spectrum(M: np.ndarray, vector: bool):
@@ -124,38 +119,6 @@ def hankel(p, size: int, shift) -> np.ndarray:
     (k, size, size) stack of them for an array of k shifts."""
     idx = np.arange(size)
     return np.asarray(p, dtype=float)[np.add.outer(shift, idx[:, None] + idx[None, :])]
-
-
-@dataclass(frozen=True)
-class HankelBlock:
-    """Hankel block P_s = (p[k+l+s]) over lo <= k, l <= hi."""
-
-    s: int
-    lo: int
-    hi: int
-    matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return max(0, self.hi - self.lo + 1)
-
-
-def _block_range(N: int, d: int, m: int, s: int) -> tuple[int, int]:
-    """Rows lo..hi of block s (empty when lo > hi)."""
-    return max(0, -s), min(m * (d - 1), (N - m) * (d - 1) - s)
-
-
-def hankel_block(p, N: int, d: int, m: int, s: int) -> HankelBlock:
-    """Build the Hankel block for digit-sum offset s between the transposed
-    group of m parties and the remaining N - m."""
-    if not 1 <= m <= N - 1:
-        raise ValueError(f"m must be in [1, {N - 1}], got {m}")
-    if not -m * (d - 1) <= s <= (N - m) * (d - 1):
-        raise ValueError(
-            f"offset s={s} out of range [{-m * (d - 1)}, {(N - m) * (d - 1)}]"
-        )
-    lo, hi = _block_range(N, d, m, s)
-    return HankelBlock(s, lo, hi, hankel(p, max(0, hi - lo + 1), 2 * lo + s))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -184,7 +147,7 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     s = 0..(N-2m)(d-1) do (every other block is a principal submatrix of one
     of these).  Blocks of one size are decided in stacks of at most
     STACK_BYTES, one eigvalsh call per stack; batched LAPACK runs the same
-    routine on each matrix, so the records equal per-block `is_psd` checks.
+    routine on each matrix, so the records equal per-block eigvalsh decisions.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N // 2:
@@ -195,8 +158,10 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
         offsets = list(range((N - 2 * m) * (d - 1) + 1))
     p = np.asarray(spec.p, dtype=float)
     records = []
-    # every offset is >= 0, so each block starts at row 0 and its shift is s
-    for size, group in groupby(offsets, key=lambda s: _block_range(N, d, m, s)[1] + 1):
+    # every offset is >= 0, so block s has shift s and rows k = 0..min(a, b - s),
+    # k the transposed group's digit sum (at most a) and k + s the other's
+    a, b = m * (d - 1), (N - m) * (d - 1)
+    for size, group in groupby(offsets, key=lambda s: min(a, b - s) + 1):
         group = np.array(list(group))
         step = max(1, STACK_BYTES // (8 * size * size))
         for start in range(0, len(group), step):

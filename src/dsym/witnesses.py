@@ -13,12 +13,15 @@ is ``oracle.witness_matrix``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .moment import MomentCheck, is_generalized_moment_solution
-from .ppt import DEFAULT_PSD_TOL, NOT_PSD, hankel
+from .ppt import NOT_PSD, hankel
 from .states import StateSpec
+
+if TYPE_CHECKING:  # moment imports this module, so the check type is annotation-only
+    from .moment import MomentCheck
 
 
 def family_v_length(N: int, d: int) -> int:
@@ -62,17 +65,6 @@ def _hankel_form(coeffs, p, shift: int) -> float:
     return float((c.conj() @ hankel(p, len(c), shift) @ c).real)
 
 
-def witness_value_fast(w: WitnessSpec, spec: StateSpec) -> float:
-    """Expectation value of the witness against the state, evaluated as the
-    Hankel quadratic form on the coefficient sequence (no dense matrices)."""
-    if (w.N, w.d) != (spec.N, spec.d):
-        raise ValueError(
-            f"witness is for (N={w.N}, d={w.d}) but state has "
-            f"(N={spec.N}, d={spec.d})"
-        )
-    return _hankel_form(w.coeffs, spec.p, FAMILY_SHIFT[w.family])
-
-
 def _unit_sign_fixed(vec: np.ndarray) -> np.ndarray:
     v = vec / np.linalg.norm(vec)
     for x in v:
@@ -103,17 +95,3 @@ def witness_from_check(spec: StateSpec, check: MomentCheck) -> WitnessSpec | Non
         d=spec.d,
         witness_value=_hankel_form(coeffs, spec.p, FAMILY_SHIFT[family]),
     )
-
-
-def find_detecting_witness(
-    spec: StateSpec, tol: float = DEFAULT_PSD_TOL
-) -> WitnessSpec | None:
-    """Witness detecting the state's entanglement, or None when the
-    coefficient sequence is moment-feasible (or only marginally infeasible).
-
-    The coefficients are the unit eigenvector of the most negative moment
-    Hankel eigenvalue (sign fixed so the first nonzero component is
-    positive); the witness value is the Hankel quadratic form of those
-    coefficients, which equals that eigenvalue up to rounding.
-    """
-    return witness_from_check(spec, is_generalized_moment_solution(spec.p, tol))

@@ -7,8 +7,8 @@ from dsym.combinatorics import count_compositions
 from dsym.oracle import dense_ppt_check, offset_supports, partial_transpose
 from dsym.ppt import (
     STACK_BYTES,
+    PsdCheck,
     hankel,
-    hankel_block,
     is_m_ppt,
     is_psd,
     worst_status,
@@ -18,46 +18,55 @@ from dsym.states import StateSpec, build_state
 from conftest import PPT_ENTANGLED_P, group_sums, random_spec
 
 
+def hankel_block(p, N, d, m, s):
+    """Reference Hankel block P_s = (p[k + l + s]) over the rows k of block s,
+    built alone so that it stays independent of `is_m_ppt`'s stacking."""
+    lo, hi = max(0, -s), min(m * (d - 1), (N - m) * (d - 1) - s)
+    idx = np.arange(lo, hi + 1)
+    return np.asarray(p, dtype=float)[idx[:, None] + idx[None, :] + s]
+
+
 def test_hankel_block_counterexample_matrices(ppt_entangled_spec):
+    # the three blocks of the 1-PPT check, written out by hand
     p = ppt_entangled_spec.p
-    b0 = hankel_block(p, 3, 3, 1, 0)
-    np.testing.assert_array_equal(
-        b0.matrix,
-        [[p[0], p[1], p[2]], [p[1], p[2], p[3]], [p[2], p[3], p[4]]],
-    )
-    b2 = hankel_block(p, 3, 3, 1, 2)
-    np.testing.assert_array_equal(
-        b2.matrix,
-        [[p[2], p[3], p[4]], [p[3], p[4], p[5]], [p[4], p[5], p[6]]],
-    )
+    blocks = [[[p[i + j + s] for j in range(3)] for i in range(3)] for s in range(3)]
+    report = is_m_ppt(ppt_entangled_spec, 1)
+    assert [r.size for r in report.blocks] == [3, 3, 3]
+    for record, block in zip(report.blocks, blocks):
+        ev = np.linalg.eigvalsh(block)
+        assert (record.lam_min, record.lam_max) == (ev[0], ev[-1])
 
 
 def test_hankel_block_all_ones():
-    p = (1.0,) * 7
-    for m in (1, 2):
-        for s in range(-m, (3 - m) * 2 + 1):
-            block = hankel_block(p, 3, 3, m, s)
-            if block.size:
-                assert np.all(block.matrix == 1.0)
+    # every block of the all-ones sequence is the all-ones matrix: rank one
+    # with eigenvalues 0 and its size
+    for N, d in [(3, 3), (4, 3), (5, 2)]:
+        for m in range(1, N // 2 + 1):
+            for record in is_m_ppt(StateSpec(N, d, (1.0,) * (N * (d - 1) + 1)), m).blocks:
+                assert record.status == "psd"
+                assert record.lam_max == pytest.approx(record.size)
+                assert record.lam_min == pytest.approx(0.0, abs=1e-12 * record.size)
 
 
-def test_hankel_block_entries_exact():
+def test_hankel_block_entries_exact(monkeypatch):
+    # the matrices is_m_ppt decides are the reference blocks, entry for entry
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        stacks.append(a.copy())
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     rng = np.random.default_rng(11)
     p = rng.uniform(0, 1, 9)
-    for m in (1, 2, 3):
-        for s in range(-m * 2, (4 - m) * 2 + 1):
-            block = hankel_block(p, 4, 3, m, s)
-            for a in range(block.size):
-                for b in range(block.size):
-                    k, l = block.lo + a, block.lo + b
-                    assert block.matrix[a, b] == p[k + l + s]
-
-
-def test_hankel_block_range_errors():
-    with pytest.raises(ValueError):
-        hankel_block((1.0,) * 5, 2, 3, 1, 3)
-    with pytest.raises(ValueError):
-        hankel_block((1.0,) * 5, 2, 3, 2, 0)  # m must be <= N-1
+    for m in (1, 2):
+        stacks.clear()
+        report = is_m_ppt(StateSpec(4, 3, tuple(p)), m)
+        decided = [matrix for stack in stacks for matrix in stack]
+        assert len(decided) == len(report.blocks)
+        for record, matrix in zip(report.blocks, decided):
+            np.testing.assert_array_equal(matrix, hankel_block(p, 4, 3, m, record.s))
 
 
 def test_is_psd_examples():
@@ -72,16 +81,17 @@ def test_is_psd_examples():
     assert is_psd(h4).status == "not-psd"
 
 
-def test_is_psd_vector_margin_strict():
+def test_is_psd_vector_and_margin():
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
-    chk = is_psd(M, vector=True)
-    assert chk.vec is not None and is_psd(M).vec is None
+    chk = is_psd(M)
     np.testing.assert_allclose(M @ chk.vec, chk.lam_min * chk.vec, atol=1e-14)
     assert np.linalg.norm(chk.vec) == pytest.approx(1.0)
     assert chk == is_psd(M)  # the eigenvector is left out of ==
-    assert chk.margin == chk.lam_min + chk.band and chk.strict
-    assert not is_psd(np.diag([1.0, 0.0])).strict
-    assert is_psd(np.zeros((0, 0)), vector=True).margin is None
+    assert chk.margin == chk.lam_min + chk.band
+    empty = is_psd(np.zeros((0, 0)))
+    assert empty.vec is None and empty.margin is None
+    # stacked block records carry no eigenvector
+    assert all(r.vec is None for r in is_m_ppt(StateSpec(2, 2, (1.0, 0.5, 1.0)), 1).blocks)
 
 
 def test_hankel_windows():
@@ -203,15 +213,17 @@ def test_block_eigenvalue_signs_match_hankel():
     a, _ = group_sums(N, d, m)
     for s, idx in zip(range(-2, 5), offset_supports(N, d, m)):
         hb = hankel_block(spec.p, N, d, m, s)
-        counts = np.bincount(a[idx], minlength=hb.hi + 1)
-        assert len(counts) == hb.hi + 1 and not counts[: hb.lo].any()
-        scales = counts[hb.lo :]
+        lo = max(0, -s)
+        hi = lo + len(hb) - 1
+        counts = np.bincount(a[idx], minlength=hi + 1)
+        assert len(counts) == hi + 1 and not counts[:lo].any()
+        scales = counts[lo:]
         assert scales.tolist() == [
             count_compositions(m, k, d) * count_compositions(N - m, k + s, d)
-            for k in range(hb.lo, hb.hi + 1)
+            for k in range(lo, hi + 1)
         ]
         D = np.diag(np.sqrt(scales))
-        expected = D @ hb.matrix @ D
+        expected = D @ hb @ D
         ev_dense = np.linalg.eigvalsh(pt[np.ix_(idx, idx)])
         nonzero = ev_dense[np.abs(ev_dense) > 1e-12]
         ev_small = np.sort(np.linalg.eigvalsh(expected))
@@ -250,8 +262,7 @@ def test_submatrix_monotonicity_for_even_split():
         spec = StateSpec(N, d, p)
         assert is_m_ppt(spec, m).verdict == "ppt"
         for s in range(-m * (d - 1), (N - m) * (d - 1) + 1):
-            block = hankel_block(spec.p, N, d, m, s)
-            assert is_psd(block.matrix).status == "psd"
+            assert is_psd(hankel_block(spec.p, N, d, m, s)).status == "psd"
 
 
 # (N, d, m) whose block counts fall below, at, just above and well above the
@@ -288,8 +299,9 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, N, d, m):
             )
             for record in report.blocks:
                 block = hankel_block(spec.p, N, d, m, record.s)
-                ref = is_psd(block.matrix, tol)
-                assert record.size == block.size
+                ev = np.linalg.eigvalsh(block)
+                ref = PsdCheck.from_extremes(ev[0], ev[-1], tol)
+                assert record.size == len(block)
                 assert (record.status, record.band, record.margin) == (ref.status, ref.band, ref.margin)
                 assert record.lam_min.hex() == ref.lam_min.hex()
                 assert record.lam_max.hex() == ref.lam_max.hex()

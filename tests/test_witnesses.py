@@ -19,8 +19,6 @@ from dsym.witnesses import (
     WitnessSpec,
     family_u_length,
     family_v_length,
-    find_detecting_witness,
-    witness_value_fast,
 )
 
 from conftest import geometric_p, random_spec
@@ -28,6 +26,12 @@ from conftest import geometric_p, random_spec
 
 def dense_witness(family, coeffs, N, d):
     return witness_matrix(WitnessSpec(family, tuple(coeffs), N, d))
+
+
+def dense_value(w, spec):
+    """Expectation value of the witness against the state, from the dense
+    matrices."""
+    return np.trace(witness_matrix(w) @ build_state(spec)).real
 
 
 def random_coeffs(rng, length):
@@ -50,7 +54,7 @@ def test_witness_v_single_term():
 
     spec = StateSpec(N, d, (0.3, 0.7, 0.2, 0.9))
     w = WitnessSpec("V", tuple(coeffs), N, d)
-    assert witness_value_fast(w, spec) == pytest.approx(0.3)
+    assert dense_value(w, spec) == pytest.approx(0.3)
 
 
 def test_witness_u_single_term():
@@ -63,8 +67,6 @@ def test_witness_u_single_term():
     spec = StateSpec(N, d, (0.0, 0.5, 0.0, 0.0, 0.0))
     rho = build_state(spec)
     assert np.trace(U @ rho).real == pytest.approx(0.5)
-    w = WitnessSpec("U", tuple(coeffs), N, d)
-    assert witness_value_fast(w, spec) == pytest.approx(0.5)
 
 
 def test_witness_wrong_length_rejected():
@@ -145,49 +147,32 @@ def test_top_state_values():
 
 
 def test_fast_value_matches_dense_trace():
+    # the reported witness value, a Hankel form on the coefficient sequence
+    # alone, is the dense expectation value of the witness
     rng = np.random.default_rng(35)
+    families = []
     for _ in range(40):
-        N = int(rng.integers(2, 4))
-        d = int(rng.integers(2, 4))
-        spec = random_spec(rng, N, d)
-        rho = build_state(spec)
-        family = "V" if rng.random() < 0.5 else "U"
-        length = family_v_length(N, d) if family == "V" else family_u_length(N, d)
-        coeffs = random_coeffs(rng, length)
-        w = WitnessSpec(family, tuple(coeffs), N, d)
-        dense_val = np.trace(witness_matrix(w) @ rho).real
-        assert witness_value_fast(w, spec) == pytest.approx(
-            dense_val, rel=1e-10, abs=1e-10
-        )
+        spec = random_spec(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        w = is_separable(spec).witness
+        if w is not None:
+            assert w.witness_value == pytest.approx(dense_value(w, spec), rel=1e-10, abs=1e-10)
+            families.append(w.family)
+    assert len(families) > 20 and set(families) == {"V", "U"}
 
 
 def test_fast_value_quadratic_form_example():
     # 2x2 form with s = (1, -1) on an all-ones sequence sums to zero
-    N, d = 2, 2
-    spec = StateSpec(N, d, (1.0, 1.0, 1.0))
-    w = WitnessSpec("V", (1.0, -1.0), N, d)
-    assert witness_value_fast(w, spec) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_fast_value_dimension_mismatch():
-    w = WitnessSpec("V", (1.0, 0.0), 2, 2)
-    with pytest.raises(ValueError):
-        witness_value_fast(w, StateSpec(2, 3, (1.0,) * 5))
+    w = WitnessSpec("V", (1.0, -1.0), 2, 2)
+    assert dense_value(w, StateSpec(2, 2, (1.0, 1.0, 1.0))) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_detecting_witness_on_entangled_state(ppt_entangled_spec):
-    w = find_detecting_witness(ppt_entangled_spec)
+    w = is_separable(ppt_entangled_spec).witness
     assert w is not None
     assert w.family == "V"
     assert w.witness_value < -1e-4
-    # the reported value is the Hankel quadratic form at the coefficients
-    assert witness_value_fast(w, ppt_entangled_spec) == pytest.approx(
-        w.witness_value, rel=1e-10
-    )
-    # and matches the dense expectation value
-    dense = witness_matrix(w)
-    rho = build_state(ppt_entangled_spec)
-    assert np.trace(dense @ rho).real == pytest.approx(w.witness_value, rel=1e-10)
+    # the reported value matches the dense expectation value
+    assert dense_value(w, ppt_entangled_spec) == pytest.approx(w.witness_value, rel=1e-10)
 
 
 def _form_and_slack(w, p):
@@ -208,25 +193,24 @@ def test_witness_value_is_the_form_of_its_coefficients(ppt_entangled_spec):
     specs = [StateSpec(**data), ppt_entangled_spec] + [
         random_spec(rng, int(rng.integers(2, 9)), int(rng.integers(2, 4))) for _ in range(60)
     ]
-    witnesses = [(spec, find_detecting_witness(spec)) for spec in specs]
+    witnesses = [(spec, is_separable(spec).witness) for spec in specs]
     witnesses = [(spec, w) for spec, w in witnesses if w is not None]
     assert len(witnesses) > 20
     for spec, w in witnesses:
         form, slack = _form_and_slack(w, spec.p)
         assert abs(w.witness_value - form) <= slack
-        assert w.witness_value == witness_value_fast(w, spec)
 
 
 def test_detecting_witness_sign_convention(ppt_entangled_spec):
-    w = find_detecting_witness(ppt_entangled_spec)
+    w = is_separable(ppt_entangled_spec).witness
     first_nonzero = next(c for c in w.coeffs if abs(c) > 1e-14)
     assert first_nonzero.real > 0
     assert np.linalg.norm(w.coeffs) == pytest.approx(1.0)
 
 
 def test_no_witness_for_separable_states():
-    assert find_detecting_witness(StateSpec(3, 3, geometric_p(3, 3, 0.5))) is None
-    assert find_detecting_witness(StateSpec(2, 2, (1.0, 0.0, 1.0))) is None
+    assert is_separable(StateSpec(3, 3, geometric_p(3, 3, 0.5))).witness is None
+    assert is_separable(StateSpec(2, 2, (1.0, 0.0, 1.0))).witness is None
 
 
 def test_witness_presence_matches_separability():
@@ -234,7 +218,7 @@ def test_witness_presence_matches_separability():
     for _ in range(60):
         spec = random_spec(rng, int(rng.integers(2, 5)), int(rng.integers(2, 4)))
         verdict = is_separable(spec)
-        w = find_detecting_witness(spec)
+        w = verdict.witness
         if verdict.verdict == "entangled":
             assert w is not None and w.witness_value < 0
         elif verdict.verdict == "separable":
