@@ -270,6 +270,15 @@ def test_main_theorem_consistency():
     assert is_separable(StateSpec(4, 2, (1.0,) * 5)).verdict == "separable"
 
 
+def test_main_theorem_odd_qubits_uses_half_split():
+    # for qubits with odd N the equivalence holds at m = (N - 1) / 2
+    spec = StateSpec(3, 2, (1.0, 0.5, 0.25, 0.125))
+    report = is_m_ppt(spec, (spec.N - 1) // 2)
+    assert report.verdict == "ppt"
+    assert is_generalized_moment_solution(spec.p).verdict == "yes"
+    assert is_separable(spec).verdict == "separable"
+
+
 def test_entangled_verdict_decomposes_each_hankel_once(ppt_entangled_spec, count_calls):
     # the verdict and its witness share one eigendecomposition per Hankel
     counts = count_calls(np.linalg, "eigh", "eigvalsh")
