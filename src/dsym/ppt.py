@@ -13,7 +13,16 @@ Hankels of `moment`, is built by `hankel` and decided by one full symmetric
 eigendecomposition with a relative tolerance band (leading principal minors
 are invalid for semidefiniteness), classified by `PsdCheck.from_extremes`.
 The moment Hankels go through `is_psd` one at a time; the m-PPT blocks of
-one size are decided as stacks, one batched eigensolve per stack.
+one size are decided as stacks, one batched eigensolve per stack.  When the
+blocks of one m-PPT check total more than STACK_BYTES and each fits in it,
+its stacks are decided concurrently (eigvalsh releases the GIL) by the
+calling thread and the workers of a module-level thread pool, one thread per
+CPU the process may run on, divided by the threads each BLAS call takes; each
+thread builds one stack at a time, so at most cpus x STACK_BYTES of stacks
+are in flight.  Smaller checks, blocks larger than STACK_BYTES and a BLAS
+left at its default of one thread per CPU decide the stacks one after the
+other.  dsym has no setting for this: it follows the CPU affinity and the
+BLAS thread count of the environment.
 A min eigenvalue below -band is decisive; inside the band, values that are
 too negative to be rounding of an exact zero (below -band/100) are surfaced
 as "marginal" rather than silently coerced either way.
@@ -21,6 +30,7 @@ as "marginal" rather than silently coerced either way.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -108,10 +118,86 @@ def _spectrum(M: np.ndarray, vector: bool):
     must be symmetric to 1e-12 of its own largest entry.  Without `vector`
     it skips eigh, which on the m-PPT blocks at N up to 1000 costs check-ppt
     a third of its throughput and 5x its memory."""
-    asym = abs(M - M.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (asym > 1e-12 * np.maximum(1.0, abs(M).max(axis=(-2, -1)))).any():
+    # one temporary, the size of M, holds |M - M^T| and then |M|
+    diff = np.subtract(M, M.swapaxes(-1, -2))
+    asym = np.abs(diff, out=diff).max(axis=(-2, -1))
+    scale = np.abs(M, out=diff).max(axis=(-2, -1))
+    if (asym > 1e-12 * np.maximum(1.0, scale)).any():
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigh(M) if vector else (np.linalg.eigvalsh(M), None)
+
+
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+# Variables from which OpenBLAS and MKL take their thread count; without one
+# they use every CPU.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _threads() -> int:
+    """Threads to decide m-PPT stacks on: the CPUs this process may run on,
+    divided by the threads each BLAS call takes.  Two eigvalsh calls that
+    each run a multi-threaded BLAS on a shared CPU are slower than one after
+    the other."""
+    cpus = _cpus()
+    values = (os.environ.get(var, "") for var in BLAS_THREAD_VARS)
+    blas = next((int(v) for v in values if v.isdigit() and int(v) > 0), cpus)
+    return cpus // blas
+
+
+_pool = None
+
+
+def _executor():
+    """The module's thread pool, created on first use with one worker per CPU
+    besides the caller's; it starts a worker only when one is needed."""
+    global _pool
+    if _pool is None:
+        # imported here so that importing dsym does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="dsym-ppt")
+    return _pool
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+# A forked child inherits the pool's bookkeeping but not its threads, so work
+# submitted to it would never run: the child starts a pool of its own.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _decide_concurrently(decide, stacks: list, threads: int) -> list:
+    """[decide(stack) for stack in stacks], computed by the calling thread and
+    up to threads - 1 pool workers; each thread takes the next undecided
+    stack, so at most `threads` stacks are in flight."""
+    out = [None] * len(stacks)
+    todo = iter(range(len(stacks)))  # a range iterator's next() holds the GIL
+
+    def drain():
+        for i in todo:
+            out[i] = decide(stacks[i])
+
+    pool = _executor()
+    futures = [pool.submit(drain) for _ in range(min(threads, len(stacks)) - 1)]
+    try:
+        drain()
+    finally:
+        for _ in todo:  # if the caller failed, leave the workers nothing more
+            pass
+    for future in futures:
+        future.result()
+    return out
 
 
 def hankel(p, size: int, shift) -> np.ndarray:
@@ -148,6 +234,11 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     of these).  Blocks of one size are decided in stacks of at most
     STACK_BYTES, one eigvalsh call per stack; batched LAPACK runs the same
     routine on each matrix, so the records equal per-block eigvalsh decisions.
+    When the blocks total more than STACK_BYTES and each fits in it, the
+    stacks are decided concurrently on the CPUs that BLAS leaves free (see
+    the module docstring), one stack per thread at a time, so at most
+    cpus x STACK_BYTES of stacks are in flight.  Records come back in offset
+    order either way, with the same bits.  There is no setting for this.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N // 2:
@@ -157,19 +248,30 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     else:
         offsets = list(range((N - 2 * m) * (d - 1) + 1))
     p = np.asarray(spec.p, dtype=float)
-    records = []
     # every offset is >= 0, so block s has shift s and rows k = 0..min(a, b - s),
     # k the transposed group's digit sum (at most a) and k + s the other's
     a, b = m * (d - 1), (N - m) * (d - 1)
+    stacks, total = [], 0
     for size, group in groupby(offsets, key=lambda s: min(a, b - s) + 1):
         group = np.array(list(group))
         step = max(1, STACK_BYTES // (8 * size * size))
-        for start in range(0, len(group), step):
-            shifts = group[start : start + step]
-            ev, _ = _spectrum(hankel(p, size, shifts), False)
-            records += [
-                BlockRecord.from_extremes(lo, hi, tol, s=s, size=size)
-                for s, lo, hi in zip(shifts.tolist(), ev[:, 0].tolist(), ev[:, -1].tolist())
-            ]
+        stacks += [(size, group[i : i + step]) for i in range(0, len(group), step)]
+        total += 8 * size * size * len(group)
+
+    def decide(stack):
+        size, shifts = stack
+        ev, _ = _spectrum(hankel(p, size, shifts), False)
+        return [
+            BlockRecord.from_extremes(lo, hi, tol, s=s, size=size)
+            for s, lo, hi in zip(shifts.tolist(), ev[:, 0].tolist(), ev[:, -1].tolist())
+        ]
+
+    # a block larger than the cap, decided alone, stays on the calling thread
+    # so that at most threads x STACK_BYTES of stacks are in flight
+    if total > STACK_BYTES >= 8 * (a + 1) ** 2 and (threads := _threads()) > 1:
+        decided = _decide_concurrently(decide, stacks, threads)
+    else:
+        decided = map(decide, stacks)
+    records = [r for rs in decided for r in rs]
     verdict = PPT_WORDS[worst_status(r.status for r in records)]
     return PPTReport(m=m, verdict=verdict, blocks=tuple(records))

@@ -1,8 +1,14 @@
 """Hankel-block PPT decisions against the dense partial-transpose oracle."""
 
+import os
+import signal
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from dsym import ppt
 from dsym.combinatorics import count_compositions
 from dsym.oracle import dense_ppt_check, offset_supports, partial_transpose
 from dsym.ppt import (
@@ -273,23 +279,43 @@ STRADDLING = [
     (802, 2, 400),
 ]
 SMALL = [(N, d, m) for d in (2, 3, 4) for N in range(2, 8) for m in range(1, N // 2 + 1)]
+# many stacks decided concurrently: 201 blocks of size 101 (~16 MiB in 17
+# stacks) and 161 blocks of size 81 (~8 MiB in 9 stacks)
+POOLED = [(400, 2, 100), (160, 3, 40)]
 
 
-@pytest.mark.parametrize("N, d, m", SMALL + STRADDLING)
-def test_stacked_blocks_equal_per_block_decisions(monkeypatch, N, d, m):
-    stacks = []
-    eigvalsh = np.linalg.eigvalsh
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Decide as on two CPUs with one BLAS thread, on a pool of the test's own."""
+    monkeypatch.setattr(ppt, "_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(ppt, "_pool", None)
+    yield
+    if ppt._pool is not None:
+        ppt._pool.shutdown()
+
+
+@pytest.mark.parametrize("N, d, m", SMALL + STRADDLING + POOLED)
+def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m):
+    stacks, pools = [], []
+    eigvalsh, executor = np.linalg.eigvalsh, ppt._executor
 
     def recorded(a):
         stacks.append(a.shape)
         return eigvalsh(a)
 
+    def recorded_executor():
+        pools.append(True)
+        return executor()
+
+    monkeypatch.setattr(ppt, "_executor", recorded_executor)
     rng = np.random.default_rng([N, d, m])
     specs = [random_spec(rng, N, d)]
     # an atomic-measure sequence, whose blocks are all PSD
     nodes, weights = rng.uniform(0.1, 1.5, 3), rng.uniform(0.1, 1.0, 3)
     specs.append(StateSpec(N, d, tuple(weights @ nodes[:, None] ** np.arange(N * (d - 1) + 1))))
     for spec in specs:
+        reference = {}
         for tol in (1e-10, 1e-3):
             monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
             report = is_m_ppt(spec, m, tol)
@@ -298,17 +324,96 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, N, d, m):
                 (0, 1) if N == 2 * m else tuple(range((N - 2 * m) * (d - 1) + 1))
             )
             for record in report.blocks:
-                block = hankel_block(spec.p, N, d, m, record.s)
-                ev = np.linalg.eigvalsh(block)
+                if record.s not in reference:
+                    block = hankel_block(spec.p, N, d, m, record.s)
+                    reference[record.s] = len(block), np.linalg.eigvalsh(block)
+                size, ev = reference[record.s]
                 ref = PsdCheck.from_extremes(ev[0], ev[-1], tol)
-                assert record.size == len(block)
+                assert record.size == size
                 assert (record.status, record.band, record.margin) == (ref.status, ref.band, ref.margin)
                 assert record.lam_min.hex() == ref.lam_min.hex()
                 assert record.lam_max.hex() == ref.lam_max.hex()
-    # the cap bounds memory: on the large-ppt benchmark (seed 1) peak RSS was
-    # 51.6 MB with 1 MiB stacks and 57.2 MB with 4 MiB stacks
+    # the cap bounds memory, one stack per thread: on the large-ppt benchmark
+    # (seed 212, 2 CPUs, medians of 10 runs) peak RSS was 51.5 MB with 1 MiB
+    # stacks decided one at a time and 55.4 MB with two decided at once
     assert STACK_BYTES <= 1 << 20
     assert stacks
     for shape in stacks:
         k, n, _ = shape
         assert k == 1 or k * n * n * 8 <= STACK_BYTES, shape
+    # work of at most one stack, and a block over the cap, stay on the
+    # calling thread
+    if (N, d, m) in SMALL or 8 * (m * (d - 1) + 1) ** 2 > STACK_BYTES:
+        assert not pools
+    if (N, d, m) in POOLED:
+        assert pools
+
+
+def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
+    # with 16 KiB stacks, eight threads share one queue of 121 one-block
+    # stacks and switch as often as they can: a stack taken twice or never
+    # would change or break the records
+    monkeypatch.setattr(ppt, "STACK_BYTES", 1 << 14)
+    spec = StateSpec(200, 2, tuple(np.random.default_rng(5).uniform(0, 1, 201)))
+    monkeypatch.setattr(ppt, "_cpus", lambda: 1)
+    serial = is_m_ppt(spec, 40)
+    monkeypatch.setattr(ppt, "_cpus", lambda: 8)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = is_m_ppt(spec, 40)
+    finally:
+        sys.setswitchinterval(interval)
+    assert ppt._pool is not None
+    assert calls == [1] * 121
+    assert pooled.checked == tuple(range(121))
+    assert pooled == serial
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(ppt, "_cpus", lambda: 1)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(ppt, "_pool", None)
+
+    def start(thread):
+        raise AssertionError(f"started {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    spec = StateSpec(400, 2, tuple(np.random.default_rng(3).uniform(0, 1, 401)))
+    assert len(is_m_ppt(spec, 100).blocks) == 201
+    assert ppt._pool is None
+
+
+def test_threads_leave_room_for_blas(monkeypatch):
+    # one thread per CPU, divided by the threads each BLAS call takes; with no
+    # setting BLAS takes every CPU, so stacks are decided one at a time
+    monkeypatch.setattr(ppt, "_cpus", lambda: 4)
+    for var in ppt.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert ppt._threads() == 1
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert ppt._threads() == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert ppt._threads() == 4
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "8")
+    assert ppt._threads() == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pooled_call_in_forked_child(two_cpus):
+    # the child inherits the parent's pool object but not its worker thread
+    spec = StateSpec(400, 2, tuple(np.random.default_rng(4).uniform(0, 1, 401)))
+    expected = is_m_ppt(spec, 100)
+    assert ppt._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(10)  # a hung child is killed by SIGALRM
+            code = 0 if is_m_ppt(spec, 100) == expected else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
