@@ -52,24 +52,28 @@ class SeparableEnsemble:
         Its reconstruction_error is None: the terms alone do not give the
         distance to the normalized state, which
         ``ensemble_from_measure(..., normalize=True)`` reports."""
-        new_terms = []
+        # log-weights, shifted by their maximum before exp: weight * norm**(2N)
+        # itself overflows for an atom t > 1 at large N
+        logs, units = [], []
         for weight, phi in self.terms:
-            if isinstance(phi, str):
-                new_terms.append((weight, phi))
-            else:
+            if weight < 0:
+                raise ValueError(f"cannot normalize an ensemble with weight {weight}")
+            log_w = math.log(weight) if weight > 0 else -math.inf
+            if not isinstance(phi, str):
                 vec = np.asarray(phi, dtype=np.complex128)
                 norm = np.linalg.norm(vec)
                 if norm == 0:
                     continue
-                new_terms.append((weight * norm ** (2 * self.N), vec / norm))
-        total = sum(w for w, _ in new_terms)
-        if total <= 0:
+                log_w += 2 * self.N * math.log(norm)
+                phi = vec / norm
+            logs.append(log_w)
+            units.append(phi)
+        top = max(logs, default=-math.inf)
+        if top == -math.inf:
             raise ValueError("cannot normalize an ensemble with zero total weight")
-        return SeparableEnsemble(
-            self.N,
-            self.d,
-            tuple((w / total, phi) for w, phi in new_terms),
-        )
+        weights = np.exp(np.array(logs) - top)
+        weights /= weights.sum()
+        return SeparableEnsemble(self.N, self.d, tuple(zip(weights.tolist(), units)))
 
 
 def _fourier_vectors(N: int, d: int, t: float) -> np.ndarray:

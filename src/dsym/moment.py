@@ -111,18 +111,19 @@ def _recurrence_from_moments(mom: np.ndarray, K: int):
     betas = [mom[0]]
     sig_km2 = np.zeros(L + 2)
     sig_km1 = np.concatenate([mom.astype(float), [0.0]])
+    scale = max(1.0, alphas[0] * alphas[0])  # max(1, alpha_j^2, beta_j for j >= 1)
     for k in range(1, K):
         sig_k = np.zeros(L + 2)
-        for l in range(k, 2 * K - k):
-            sig_k[l] = (
-                sig_km1[l + 1] - alphas[k - 1] * sig_km1[l] - betas[k - 1] * sig_km2[l]
-            )
+        l = slice(k, 2 * K - k)
+        sig_k[l] = (
+            sig_km1[k + 1 : 2 * K - k + 1] - alphas[k - 1] * sig_km1[l] - betas[k - 1] * sig_km2[l]
+        )
         norm_sq = sig_k[k]
-        scale = max(1.0, max(a * a for a in alphas), max(betas[1:], default=0.0))
         if not np.isfinite(norm_sq) or norm_sq <= RANK_TOL * scale * sig_km1[k - 1]:
             break
         betas.append(norm_sq / sig_km1[k - 1])
         alphas.append(sig_k[k + 1] / sig_k[k] - sig_km1[k] / sig_km1[k - 1])
+        scale = max(scale, alphas[-1] * alphas[-1], betas[-1])
         sig_km2, sig_km1 = sig_km1, sig_k
     return np.array(alphas), np.array(betas)
 

@@ -16,13 +16,13 @@ The moment Hankels go through `is_psd` one at a time; the m-PPT blocks of
 one size are decided as stacks, one batched eigensolve per stack.  When the
 blocks of one m-PPT check total more than STACK_BYTES and each fits in it,
 its stacks are decided concurrently (eigvalsh releases the GIL) by the
-calling thread and the workers of a module-level thread pool, one thread per
-CPU the process may run on, divided by the threads each BLAS call takes; each
-thread builds one stack at a time, so at most cpus x STACK_BYTES of stacks
-are in flight.  Smaller checks, blocks larger than STACK_BYTES and a BLAS
-left at its default of one thread per CPU decide the stacks one after the
-other.  dsym has no setting for this: it follows the CPU affinity and the
-BLAS thread count of the environment.
+calling thread and helper threads started for that call and joined before it
+returns: one thread per CPU the process may run on, divided by the threads
+each BLAS call takes.  Each thread builds one stack at a time, so at most
+cpus x STACK_BYTES of stacks are in flight.  Smaller checks, blocks larger
+than STACK_BYTES and a BLAS left at its default of one thread per CPU decide
+the stacks one after the other.  dsym has no setting for this: it follows
+the CPU affinity and the BLAS thread count of the environment.
 A min eigenvalue below -band is decisive; inside the band, values that are
 too negative to be rounding of an exact zero (below -band/100) are surfaced
 as "marginal" rather than silently coerced either way.
@@ -30,6 +30,7 @@ as "marginal" rather than silently coerced either way.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from itertools import groupby
@@ -80,7 +81,14 @@ class PsdCheck:
         cls, lam_min: float, lam_max: float, tol_rel: float, vec=None, **fields
     ) -> "PsdCheck":
         """Status and band tol_rel * max(1, lam_max) from the extreme
-        eigenvalues; `fields` fill a subclass's own fields."""
+        eigenvalues; `fields` fill a subclass's own fields.  Raises
+        ValueError when an extreme eigenvalue is not finite: the spectrum
+        overflowed, and an infinite band would call any matrix psd."""
+        if not (math.isfinite(lam_min) and math.isfinite(lam_max)):
+            raise ValueError(
+                f"eigenvalues out of the float range (min {lam_min}, max {lam_max});"
+                " rescale p"
+            )
         band = tol_rel * max(1.0, lam_max)
         if lam_min < -band:
             status = NOT_PSD
@@ -151,36 +159,13 @@ def _threads() -> int:
     return cpus // blas
 
 
-_pool = None
-
-
-def _executor():
-    """The module's thread pool, created on first use with one worker per CPU
-    besides the caller's; it starts a worker only when one is needed."""
-    global _pool
-    if _pool is None:
-        # imported here so that importing dsym does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="dsym-ppt")
-    return _pool
-
-
-def _forget_pool() -> None:
-    global _pool
-    _pool = None
-
-
-# A forked child inherits the pool's bookkeeping but not its threads, so work
-# submitted to it would never run: the child starts a pool of its own.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _decide_concurrently(decide, stacks: list, threads: int) -> list:
     """[decide(stack) for stack in stacks], computed by the calling thread and
-    up to threads - 1 pool workers; each thread takes the next undecided
-    stack, so at most `threads` stacks are in flight."""
+    threads - 1 helper threads that live for this call only; each thread takes
+    the next undecided stack, so at most `threads` stacks are in flight."""
+    # imported here so that importing dsym does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
     out = [None] * len(stacks)
     todo = iter(range(len(stacks)))  # a range iterator's next() holds the GIL
 
@@ -188,15 +173,16 @@ def _decide_concurrently(decide, stacks: list, threads: int) -> list:
         for i in todo:
             out[i] = decide(stacks[i])
 
-    pool = _executor()
-    futures = [pool.submit(drain) for _ in range(min(threads, len(stacks)) - 1)]
-    try:
-        drain()
-    finally:
-        for _ in todo:  # if the caller failed, leave the workers nothing more
-            pass
-    for future in futures:
-        future.result()
+    helpers = min(threads, len(stacks)) - 1
+    with ThreadPoolExecutor(helpers, thread_name_prefix="dsym-ppt") as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        finally:
+            for _ in todo:  # if the caller failed, leave the helpers nothing more
+                pass
+        for future in futures:
+            future.result()
     return out
 
 
@@ -237,8 +223,10 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     When the blocks total more than STACK_BYTES and each fits in it, the
     stacks are decided concurrently on the CPUs that BLAS leaves free (see
     the module docstring), one stack per thread at a time, so at most
-    cpus x STACK_BYTES of stacks are in flight.  Records come back in offset
-    order either way, with the same bits.  There is no setting for this.
+    cpus x STACK_BYTES of stacks are in flight; the helper threads are the
+    call's own and have ended when it returns or raises.  Records come back
+    in offset order either way, with the same bits.  There is no setting for
+    this.  Raises ValueError when a block's spectrum overflows.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N // 2:

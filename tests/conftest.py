@@ -34,6 +34,13 @@ def geometric_p(N: int, d: int, t: float, w: float = 1.0) -> tuple[float, ...]:
     return tuple(w * t**k for k in range(N * (d - 1) + 1))
 
 
+def far_atom_p(N: int) -> tuple[float, ...]:
+    """Qubit p_k = (5^k + 2^k) / (2 * 5^N), each rounded once: at large N
+    recovery keeps one atom, at t ~ 5, whose N + 1 Fourier terms each carry
+    1/(N + 1) of the normalized trace."""
+    return tuple(float(Fraction(5**k + 2**k, 2 * 5**N)) for k in range(N + 1))
+
+
 def fourier_terms(N: int, d: int, t: float) -> list[tuple[float, np.ndarray]]:
     """The Fourier ensemble of ratio t built one vector at a time: the
     reference for the array-built ``geometric_ensemble``."""

@@ -17,7 +17,7 @@ from dsym.decompose import ensemble_from_measure, separable_ensemble
 from dsym.moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, RecoveryError, is_separable
 from dsym.ppt import DEFAULT_PSD_TOL
 
-from conftest import fourier_terms, geometric_p
+from conftest import far_atom_p, fourier_terms, geometric_p
 
 COUNTEREXAMPLE = {
     "N": 3,
@@ -169,6 +169,18 @@ def test_non_finite_coefficient_exit_3(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_overflowed_spectrum_exit_3(tmp_path, capsys):
+    # coefficients near the float maximum overflow a Hankel spectrum to inf,
+    # which is an error, not a psd verdict with an infinite band
+    p = 1.7e308 * np.random.default_rng(0).uniform(0.5, 1, 21)
+    path = write_spec(tmp_path, {"N": 20, "d": 2, "p": p.tolist()})
+    for argv in (["check-separable", path, "--certificate"], ["check-ppt", path, "--m", "5"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "float range" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -422,6 +434,15 @@ def test_decompose_normalized_weights_sum_to_one(tmp_path, capsys):
     assert code == 0
     total = sum(t["weight"] for t in report["certificate"]["terms"])
     assert total == pytest.approx(1.0)
+
+
+def test_decompose_normalized_far_atom_at_large_n(tmp_path, capsys):
+    # each term's weight * norm**(2N) overflows; the normalized weights do not
+    path = write_spec(tmp_path, {"N": 400, "d": 2, "p": list(far_atom_p(400))})
+    code, report = run(capsys, ["decompose", path, "--normalize"])
+    assert code == 0
+    weights = [t["weight"] for t in report["certificate"]["terms"]]
+    np.testing.assert_allclose(weights, 1 / 401, rtol=1e-10)
 
 
 def test_decompose_normalized_error_is_against_the_normalized_state(tmp_path, capsys):

@@ -22,7 +22,7 @@ from dsym.moment import RecoveryError, is_separable
 from dsym.oracle import ensemble_matrix, permutation_operator
 from dsym.states import StateSpec, build_state
 
-from conftest import fourier_terms, geometric_p
+from conftest import far_atom_p, fourier_terms, geometric_p
 
 
 def test_geometric_ensemble_t_zero():
@@ -168,6 +168,25 @@ def test_normalized_preserves_state_up_to_trace():
         rho / np.trace(rho).real,
         atol=1e-12,
     )
+
+
+def test_normalized_weights_of_a_far_atom_at_large_n():
+    # weight * norm**(2N) = w * 6**400 overflows, although every normalized
+    # weight is 1/401
+    ens = separable_ensemble(StateSpec(400, 2, far_atom_p(400))).normalized()
+    weights = [w for w, _ in ens.terms]
+    assert len(weights) == 401
+    np.testing.assert_allclose(weights, 1 / 401, rtol=1e-10)
+    for _, phi in ens.terms:
+        assert np.linalg.norm(phi) == pytest.approx(1.0)
+
+
+def test_normalized_rejects_zero_and_negative_weights():
+    vec = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="zero total weight"):
+        SeparableEnsemble(2, 2, ((0.0, vec), (1.0, np.zeros(2)))).normalized()
+    with pytest.raises(ValueError, match="weight -1"):
+        SeparableEnsemble(2, 2, ((2.0, vec), (-1.0, "top"))).normalized()
 
 
 def _random_measure_spec(rng, N, d):

@@ -286,29 +286,29 @@ POOLED = [(400, 2, 100), (160, 3, 40)]
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Decide as on two CPUs with one BLAS thread, on a pool of the test's own."""
+    """Decide as on two CPUs with one BLAS thread; yields the names of the
+    threads started meanwhile."""
     monkeypatch.setattr(ppt, "_cpus", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(ppt, "_pool", None)
-    yield
-    if ppt._pool is not None:
-        ppt._pool.shutdown()
+    started, start = [], threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    yield started
 
 
 @pytest.mark.parametrize("N, d, m", SMALL + STRADDLING + POOLED)
 def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m):
-    stacks, pools = [], []
-    eigvalsh, executor = np.linalg.eigvalsh, ppt._executor
+    stacks = []
+    eigvalsh = np.linalg.eigvalsh
 
     def recorded(a):
         stacks.append(a.shape)
         return eigvalsh(a)
 
-    def recorded_executor():
-        pools.append(True)
-        return executor()
-
-    monkeypatch.setattr(ppt, "_executor", recorded_executor)
     rng = np.random.default_rng([N, d, m])
     specs = [random_spec(rng, N, d)]
     # an atomic-measure sequence, whose blocks are all PSD
@@ -344,9 +344,9 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
     # work of at most one stack, and a block over the cap, stay on the
     # calling thread
     if (N, d, m) in SMALL or 8 * (m * (d - 1) + 1) ** 2 > STACK_BYTES:
-        assert not pools
+        assert not two_cpus
     if (N, d, m) in POOLED:
-        assert pools
+        assert two_cpus == ["dsym-ppt_0"] * 4  # one helper per call
 
 
 def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
@@ -366,7 +366,7 @@ def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
         pooled = is_m_ppt(spec, 40)
     finally:
         sys.setswitchinterval(interval)
-    assert ppt._pool is not None
+    assert 1 <= len(two_cpus) <= 7 and set(two_cpus) <= {f"dsym-ppt_{i}" for i in range(7)}
     assert calls == [1] * 121
     assert pooled.checked == tuple(range(121))
     assert pooled == serial
@@ -375,7 +375,6 @@ def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
 def test_one_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(ppt, "_cpus", lambda: 1)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setattr(ppt, "_pool", None)
 
     def start(thread):
         raise AssertionError(f"started {thread.name}")
@@ -383,7 +382,6 @@ def test_one_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
     spec = StateSpec(400, 2, tuple(np.random.default_rng(3).uniform(0, 1, 401)))
     assert len(is_m_ppt(spec, 100).blocks) == 201
-    assert ppt._pool is None
 
 
 def test_threads_leave_room_for_blas(monkeypatch):
@@ -401,18 +399,58 @@ def test_threads_leave_room_for_blas(monkeypatch):
     assert ppt._threads() == 0
 
 
+@pytest.mark.parametrize("fails_on", [None, "helper", "caller"])
+def test_pooled_call_leaves_no_thread_behind(monkeypatch, two_cpus, fails_on):
+    # the helpers are joined before is_m_ppt returns or raises, and an
+    # eigvalsh failure on either side reaches the caller
+    caller, helper_took_one = threading.current_thread(), threading.Event()
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing(a):
+        on_caller = threading.current_thread() is caller
+        if not on_caller:
+            helper_took_one.set()
+        elif fails_on == "helper":  # let a helper take a stack first
+            assert helper_took_one.wait(10)
+        if fails_on == ("caller" if on_caller else "helper"):
+            raise np.linalg.LinAlgError(f"planted on the {fails_on}")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    spec = StateSpec(400, 2, tuple(np.random.default_rng(6).uniform(0, 1, 401)))
+    if fails_on is None:
+        assert len(is_m_ppt(spec, 100).blocks) == 201
+    else:
+        with pytest.raises(np.linalg.LinAlgError, match=f"planted on the {fails_on}"):
+            is_m_ppt(spec, 100)
+    assert not [t for t in threading.enumerate() if t.name.startswith("dsym-ppt")]
+    assert two_cpus == ["dsym-ppt_0"]
+
+
+def test_overflowed_spectrum_raises():
+    # lam_max overflows to inf; an infinite band would call block 0 psd,
+    # although its lam_min is -7.65e307
+    spec = StateSpec(20, 2, tuple(1.7e308 * np.random.default_rng(0).uniform(0.5, 1, 21)))
+    with pytest.raises(ValueError, match="float range"):
+        is_m_ppt(spec, 5)
+    for lam_min, lam_max in [(-1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0)]:
+        with pytest.raises(ValueError, match="float range"):
+            PsdCheck.from_extremes(lam_min, lam_max, 1e-10)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_pooled_call_in_forked_child(two_cpus):
-    # the child inherits the parent's pool object but not its worker thread
+    # the child of a process that has run a pooled call decides pooled too
     spec = StateSpec(400, 2, tuple(np.random.default_rng(4).uniform(0, 1, 401)))
     expected = is_m_ppt(spec, 100)
-    assert ppt._pool is not None
+    assert two_cpus == ["dsym-ppt_0"]
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             signal.alarm(10)  # a hung child is killed by SIGALRM
-            code = 0 if is_m_ppt(spec, 100) == expected else 2
+            same = is_m_ppt(spec, 100) == expected and two_cpus[1:] == ["dsym-ppt_0"]
+            code = 0 if same else 2
         finally:
             os._exit(code)
     _, status = os.waitpid(pid, 0)
