@@ -132,6 +132,7 @@ def _ppt_json(report: PPTReport) -> dict:
         "m": report.m,
         "verdict": report.verdict,
         "checked_offsets": list(report.checked),
+        "stopped_at": report.stopped_at,
         "blocks": [
             {
                 "s": b.s,

@@ -6,11 +6,11 @@ root of unity, the L vectors sum_i t^(i/2) w^(a i) |i> (a = 0..L-1), each
 taken to the N-th tensor power with weight 1/L, average out all cross terms
 between different digit sums.  A general feasible sequence is a mixture of
 geometric ones given by its recovered atomic measure, plus the top product
-state carrying the mass M.  An atom's L vectors come from one Fourier power
-``omega ** outer(a, i)`` scaled by the amplitudes t^(i/2), as one (L, d)
-array whose rows are the terms.  Ensembles are kept as their terms; the
-distance to the state is reported in closed form, and the dense matrix of an
-ensemble, for verification, is ``oracle.ensemble_matrix``.
+state carrying the mass M.  An atom's L vectors come from one array of
+phases ``exp(2 pi i ((a i) mod L) / L)`` scaled by the amplitudes t^(i/2),
+as one (L, d) array whose rows are the terms.  Ensembles are kept as their
+terms; the distance to the state is reported in closed form, and the dense
+matrix of an ensemble, for verification, is ``oracle.ensemble_matrix``.
 """
 
 from __future__ import annotations
@@ -81,9 +81,11 @@ def _fourier_vectors(N: int, d: int, t: float) -> np.ndarray:
     if not (math.isfinite(t) and t >= 0):
         raise ValueError(f"geometric ratio t must be finite and >= 0, got {t}")
     L = N * (d - 1) + 1
-    omega = np.exp(2j * np.pi / L)
     amps = np.array([float(t) ** (i / 2) for i in range(d)])
-    return amps * omega ** np.outer(np.arange(L), np.arange(d))
+    # w^(a i) from its exponent reduced mod L: one rounding of exp(i theta),
+    # so every phase has unit modulus to an ulp, where complex powers of w
+    # drift by ~L ulps and `SeparableEnsemble.normalized` raises that to 2N
+    return amps * np.exp(2j * np.pi * (np.outer(np.arange(L), np.arange(d)) % L) / L)
 
 
 def geometric_ensemble(N: int, d: int, t: float) -> SeparableEnsemble:

@@ -128,19 +128,29 @@ def ensemble_matrix(e: SeparableEnsemble) -> np.ndarray:
 
 def _components(M: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of a square matrix's nonzero
-    pattern.  The pattern is read from both triangles, so an entry whose
-    mirror is zero still joins its two indices.
+    pattern.  An entry whose mirror is zero still joins its two indices.
 
-    An index with no off-diagonal nonzero is a component of its own.  Every
-    other component is grown from its lowest unassigned index by OR-ing the
-    pattern rows of the indices it reached last, until none is new.
+    An index with no off-diagonal nonzero in its row is a set of its own.
+    Every other set is grown from its lowest unassigned index by OR-ing the
+    pattern rows of the indices it reached last, until none is new.  Each
+    set then holds every nonzero of its rows, so when the sets are disjoint
+    they are the components and hold every nonzero of M.  Only an entry
+    whose mirror is zero can make two sets overlap (its row reaches an index
+    whose row does not reach back); then the sets are grown again on the
+    pattern read from both triangles.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    nz = M != 0
-    pattern = nz | nz.T
+    pattern = M != 0
     np.fill_diagonal(pattern, True)
+    components = _row_closures(pattern)
+    if sum(map(len, components)) > len(M):
+        components = _row_closures(pattern | pattern.T)
+    return components
+
+
+def _row_closures(pattern: np.ndarray) -> list[np.ndarray]:
     seen = pattern.sum(axis=1) == 1
     components = list(seen.nonzero()[0][:, None])
     while not seen[seed := seen.argmin()]:

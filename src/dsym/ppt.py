@@ -9,17 +9,22 @@ has no size cap.  The index supports of the offset blocks inside the dense
 partial transpose are verification-only: ``oracle.offset_supports``.
 
 Every Hankel matrix of the package, the blocks P_s here and the two moment
-Hankels of `moment`, is built by `hankel` and decided by one full symmetric
+Hankels of `moment`, is built by `hankel` as a read-only strided view of p,
+exactly symmetric by construction, and decided by one full symmetric
 eigendecomposition with a relative tolerance band (leading principal minors
 are invalid for semidefiniteness), classified by `PsdCheck.from_extremes`.
-The moment Hankels go through `is_psd` one at a time; the m-PPT blocks of
-one size are decided as stacks, one batched eigensolve per stack.  When the
-blocks of one m-PPT check total more than STACK_BYTES and each fits in it,
-its stacks are decided concurrently (eigvalsh releases the GIL) by the
-calling thread and helper threads started for that call and joined before it
-returns: one thread per CPU the process may run on, divided by the threads
-each BLAS call takes.  Each thread builds one stack at a time, so at most
-cpus x STACK_BYTES of stacks are in flight.  Smaller checks, blocks larger
+The moment Hankels go through `is_psd` one at a time, which also tests the
+symmetry of the matrices its callers pass; the m-PPT blocks of one size are
+decided as stacks of consecutive offsets, one batched eigensolve per stack
+on a view that eigvalsh copies one matrix at a time.  Stacks are decided in
+offset order, and the check stops at the first stack that holds a not-psd
+block: the blocks after it are reported as skipped.  When the blocks of one
+m-PPT check total more than STACK_BYTES and each fits in it, its stacks are
+decided concurrently (eigvalsh releases the GIL) by the calling thread and
+helper threads started for that call and joined before it returns: one
+thread per CPU the process may run on, divided by the threads each BLAS call
+takes.  Where the check stops is read from the decided records after the
+join, so it does not depend on thread timing.  Smaller checks, blocks larger
 than STACK_BYTES and a BLAS left at its default of one thread per CPU decide
 the stacks one after the other.  dsym has no setting for this: it follows
 the CPU affinity and the BLAS thread count of the environment.
@@ -41,9 +46,11 @@ from .states import StateSpec
 
 DEFAULT_PSD_TOL = 1e-10
 
-# Largest stack of m-PPT blocks, in bytes, decided by one eigvalsh call:
-# batching removes the per-call cost of many small blocks, and the cap bounds
-# the stack's memory (a block larger than the cap is decided alone).
+# Largest stack of m-PPT blocks, in bytes of their entries, decided by one
+# eigvalsh call: batching removes the per-call cost of many small blocks, and
+# the cap sets how much work one call, and one thread, takes at a time and
+# how far past a failing block a check may run (a block larger than the cap is
+# decided alone).  A stack is a view of p, so it holds no memory of its own.
 STACK_BYTES = 1 << 20
 
 # Fraction of the tolerance band treated as numerical noise around zero:
@@ -53,6 +60,8 @@ NOISE_FRACTION = 0.01
 PSD = "psd"
 NOT_PSD = "not-psd"
 MARGINAL = "marginal"
+# an m-PPT block after the first stack that holds a not-psd block: not decided
+SKIPPED = "skipped"
 
 
 def worst_status(statuses) -> str:
@@ -110,29 +119,20 @@ class PsdCheck:
 def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL) -> PsdCheck:
     """PSD status of a real symmetric matrix, with its lowest eigenvector
     (a witness when the matrix is a moment Hankel), from one
-    eigendecomposition."""
+    eigendecomposition.  Raises ValueError unless M is symmetric to 1e-12 of
+    its largest entry."""
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return PsdCheck(PSD, None, None, None)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    ev, vecs = _spectrum(M, True)
-    return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel, vecs[:, 0])
-
-
-def _spectrum(M: np.ndarray, vector: bool):
-    """Ascending eigenvalues (and eigenvectors when `vector`) of a symmetric
-    matrix or a (k, n, n) stack of them, from one LAPACK call; each matrix
-    must be symmetric to 1e-12 of its own largest entry.  Without `vector`
-    it skips eigh, which on the m-PPT blocks at N up to 1000 costs check-ppt
-    a third of its throughput and 5x its memory."""
     # one temporary, the size of M, holds |M - M^T| and then |M|
-    diff = np.subtract(M, M.swapaxes(-1, -2))
-    asym = np.abs(diff, out=diff).max(axis=(-2, -1))
-    scale = np.abs(M, out=diff).max(axis=(-2, -1))
-    if (asym > 1e-12 * np.maximum(1.0, scale)).any():
+    diff = np.subtract(M, M.T)
+    asym = np.abs(diff, out=diff).max()
+    if asym > 1e-12 * max(1.0, np.abs(M, out=diff).max()):
         raise ValueError("matrix is not symmetric")
-    return np.linalg.eigh(M) if vector else (np.linalg.eigvalsh(M), None)
+    ev, vecs = np.linalg.eigh(M)
+    return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel, vecs[:, 0])
 
 
 def _cpus() -> int:
@@ -159,38 +159,79 @@ def _threads() -> int:
     return cpus // blas
 
 
-def _decide_concurrently(decide, stacks: list, threads: int) -> list:
-    """[decide(stack) for stack in stacks], computed by the calling thread and
-    threads - 1 helper threads that live for this call only; each thread takes
-    the next undecided stack, so at most `threads` stacks are in flight."""
-    # imported here so that importing dsym does not pay for it
-    from concurrent.futures import ThreadPoolExecutor
+def _decide_in_order(decide, stacks: list, threads: int) -> list:
+    """[decide(stack) for stack in stacks] up to and including the first stack
+    whose records hold a not-psd one, and None for the stacks after it.
 
+    With threads > 1 the calling thread and threads - 1 helper threads that
+    live for this call only each take the next undecided stack, so at most
+    `threads` stacks are in flight.  A thread stops taking stacks once it
+    draws one past a stack known to fail; every stack before the first
+    failing one is still decided, by whichever thread drew it.  The cut is
+    taken after the join, from the decided records, so the result is the
+    serial one whatever the timing."""
     out = [None] * len(stacks)
     todo = iter(range(len(stacks)))  # a range iterator's next() holds the GIL
+    failed = len(stacks)  # a failing stack seen so far: a hint, written by every thread
 
     def drain():
+        nonlocal failed
         for i in todo:
+            if i > failed:
+                return
             out[i] = decide(stacks[i])
+            if _fails(out[i]):
+                failed = min(failed, i)
 
     helpers = min(threads, len(stacks)) - 1
-    with ThreadPoolExecutor(helpers, thread_name_prefix="dsym-ppt") as pool:
-        futures = [pool.submit(drain) for _ in range(helpers)]
-        try:
-            drain()
-        finally:
-            for _ in todo:  # if the caller failed, leave the helpers nothing more
-                pass
-        for future in futures:
-            future.result()
-    return out
+    if helpers < 1:
+        drain()
+    else:
+        # imported here so that importing dsym does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(helpers, thread_name_prefix="dsym-ppt") as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            try:
+                drain()
+            finally:
+                for _ in todo:  # if the caller failed, leave the helpers nothing more
+                    pass
+            for future in futures:
+                future.result()
+    cut = next((i for i, records in enumerate(out) if _fails(records)), len(out))
+    return out[: cut + 1] + [None] * (len(out) - cut - 1)
+
+
+def _fails(records) -> bool:
+    return any(r.status == NOT_PSD for r in records)
 
 
 def hankel(p, size: int, shift) -> np.ndarray:
     """The size x size Hankel matrix (p[k + l + shift]) of a sequence, or the
-    (k, size, size) stack of them for an array of k shifts."""
-    idx = np.arange(size)
-    return np.asarray(p, dtype=float)[np.add.outer(shift, idx[:, None] + idx[None, :])]
+    (k, size, size) stack of them for k evenly spaced shifts (a 1-d array).
+
+    The result is a read-only strided view of p as a contiguous float64
+    array (p is copied only when it is not one already): every entry is an
+    element of p, so the matrices are exactly symmetric and no size**2 array
+    is allocated.  Raises ValueError for shifts that are not evenly spaced
+    and increasing, a negative shift, or a matrix reaching past the end of p."""
+    p = np.ascontiguousarray(p, dtype=float)
+    shifts = np.asarray(shift)
+    if shifts.ndim == 0:
+        start, shape, strides = int(shifts), (size, size), (8, 8)
+    else:
+        start = int(shifts[0]) if len(shifts) else 0
+        step = int(shifts[1]) - start if len(shifts) > 1 else 1
+        if step < 1 or (shifts != start + step * np.arange(len(shifts))).any():
+            raise ValueError(f"shifts of a stack must be evenly spaced and increasing, got {shifts}")
+        shape, strides = (len(shifts), size, size), (8 * step, 8, 8)
+    if start < 0:
+        raise ValueError(f"shift must be >= 0, got {start}")
+    # an empty window reads nothing, wherever it starts
+    H = np.ndarray(shape, float, buffer=p, offset=8 * start if size else 0, strides=strides)
+    H.flags.writeable = False
+    return H
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -211,22 +252,32 @@ class PPTReport:
     def checked(self) -> tuple[int, ...]:
         return tuple(b.s for b in self.blocks)
 
+    @property
+    def stopped_at(self) -> int | None:
+        """The first offset whose block is not psd, or None."""
+        return next((b.s for b in self.blocks if b.status == NOT_PSD), None)
+
 
 def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport:
     """Decide m-PPT from the sufficient set of Hankel blocks.
 
     For N = 2m the blocks s = 0 and s = 1 suffice; for 2m < N the blocks
     s = 0..(N-2m)(d-1) do (every other block is a principal submatrix of one
-    of these).  Blocks of one size are decided in stacks of at most
-    STACK_BYTES, one eigvalsh call per stack; batched LAPACK runs the same
-    routine on each matrix, so the records equal per-block eigvalsh decisions.
-    When the blocks total more than STACK_BYTES and each fits in it, the
-    stacks are decided concurrently on the CPUs that BLAS leaves free (see
-    the module docstring), one stack per thread at a time, so at most
-    cpus x STACK_BYTES of stacks are in flight; the helper threads are the
-    call's own and have ended when it returns or raises.  Records come back
-    in offset order either way, with the same bits.  There is no setting for
-    this.  Raises ValueError when a block's spectrum overflows.
+    of these).  Blocks of one size are decided in stacks of consecutive
+    offsets holding at most STACK_BYTES of entries, one eigvalsh call per
+    stack on a read-only view of p; batched LAPACK runs the same routine on
+    each matrix, so the records equal per-block eigvalsh decisions.  Stacks
+    are decided in offset order up to the first that holds a not-psd block,
+    which settles the verdict; every block after that stack gets a record
+    with status "skipped" and no eigenvalues, band or margin.  When the
+    blocks total more than STACK_BYTES and each fits in it, the stacks are
+    decided concurrently on the CPUs that BLAS leaves free (see the module
+    docstring), one stack per thread at a time, so STACK_BYTES sets the
+    granularity of the threads' work; the helper threads are the call's own
+    and have ended when it returns or raises.  Records come back in offset
+    order either way, with the same bits and the same skipped blocks.  There
+    is no setting for this.  Raises ValueError when a block's spectrum
+    overflows.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N // 2:
@@ -248,18 +299,21 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
 
     def decide(stack):
         size, shifts = stack
-        ev, _ = _spectrum(hankel(p, size, shifts), False)
+        ev = np.linalg.eigvalsh(hankel(p, size, shifts))
         return [
             BlockRecord.from_extremes(lo, hi, tol, s=s, size=size)
             for s, lo, hi in zip(shifts.tolist(), ev[:, 0].tolist(), ev[:, -1].tolist())
         ]
 
-    # a block larger than the cap, decided alone, stays on the calling thread
-    # so that at most threads x STACK_BYTES of stacks are in flight
-    if total > STACK_BYTES >= 8 * (a + 1) ** 2 and (threads := _threads()) > 1:
-        decided = _decide_concurrently(decide, stacks, threads)
-    else:
-        decided = map(decide, stacks)
-    records = [r for rs in decided for r in rs]
+    # a block larger than the cap is decided alone, on the calling thread
+    pooled = total > STACK_BYTES >= 8 * (a + 1) ** 2
+    decided = _decide_in_order(decide, stacks, _threads() if pooled else 1)
+    records = []
+    for (size, shifts), stack_records in zip(stacks, decided):
+        if stack_records is None:
+            stack_records = [
+                BlockRecord(SKIPPED, None, None, None, s=s, size=size) for s in shifts.tolist()
+            ]
+        records += stack_records
     verdict = PPT_WORDS[worst_status(r.status for r in records)]
     return PPTReport(m=m, verdict=verdict, blocks=tuple(records))

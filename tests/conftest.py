@@ -45,9 +45,8 @@ def fourier_terms(N: int, d: int, t: float) -> list[tuple[float, np.ndarray]]:
     """The Fourier ensemble of ratio t built one vector at a time: the
     reference for the array-built ``geometric_ensemble``."""
     L = N * (d - 1) + 1
-    omega = np.exp(2j * np.pi / L)
     amps = np.array([float(t) ** (i / 2) for i in range(d)])
-    return [(1.0 / L, amps * omega ** (a * np.arange(d))) for a in range(L)]
+    return [(1.0 / L, amps * np.exp(2j * np.pi * ((a * np.arange(d)) % L) / L)) for a in range(L)]
 
 
 @pytest.fixture

@@ -135,6 +135,7 @@ def test_check_ppt_counterexample(tmp_path, capsys):
     assert code == 0
     assert report["ppt"]["verdict"] == "ppt"
     assert report["ppt"]["checked_offsets"] == [0, 1, 2]
+    assert report["ppt"]["stopped_at"] is None
     assert all(b["lam_min"] > 0 for b in report["ppt"]["blocks"])
 
 
@@ -145,6 +146,22 @@ def test_check_ppt_perturbed_counterexample(tmp_path, capsys):
     code, report = run(capsys, ["check-ppt", path, "--m", "1"])
     assert code == 1
     assert report["ppt"]["verdict"] == "not-ppt"
+
+
+def test_check_ppt_lists_skipped_blocks(tmp_path, capsys):
+    # the s = 0 block [[1, 2], [2, 1]] fails, so the s = 1 block, in the next
+    # stack, is listed but not decided
+    path = write_spec(tmp_path, {"N": 2, "d": 2, "p": [1, 2, 1]})
+    code, report = run(capsys, ["check-ppt", path, "--m", "1"])
+    assert code == 1
+    ppt = report["ppt"]
+    assert (ppt["verdict"], ppt["checked_offsets"], ppt["stopped_at"]) == ("not-ppt", [0, 1], 0)
+    failing, skipped = ppt["blocks"]
+    assert (failing["s"], failing["status"]) == (0, "not-psd")
+    assert failing["lam_min"] == pytest.approx(-1.0) and failing["margin"] < 0
+    assert skipped == {
+        "s": 1, "size": 1, "lam_min": None, "lam_max": None, "margin": None, "status": "skipped"
+    }
 
 
 def test_check_ppt_geometric(tmp_path, capsys):

@@ -181,6 +181,21 @@ def test_normalized_weights_of_a_far_atom_at_large_n():
         assert np.linalg.norm(phi) == pytest.approx(1.0)
 
 
+def test_fourier_phases_have_unit_modulus_and_equal_normalized_weights():
+    # each phase is one rounding of exp(i theta), of unit modulus to an ulp;
+    # complex powers of omega drift to 1 - 1.2e-14 at L = 401, and the
+    # normalization raises each term's norm to 2N = 800
+    eps = np.finfo(float).eps
+    for N, d in [(400, 2), (50, 4), (7, 3)]:
+        phases = np.array([phi for _, phi in geometric_ensemble(N, d, 1.0).terms])
+        assert np.abs(np.abs(phases) - 1).max() <= eps
+    # the far atom's 401 terms are equal up to 2N times a few ulps of their
+    # norms (their spread was 8e-12 with complex powers)
+    ens = separable_ensemble(StateSpec(400, 2, far_atom_p(400))).normalized()
+    weights = np.array([w for w, _ in ens.terms])
+    assert np.ptp(weights) <= 2 * 400 * 4 * eps * weights.mean()
+
+
 def test_normalized_rejects_zero_and_negative_weights():
     vec = np.array([1.0, 0.0])
     with pytest.raises(ValueError, match="zero total weight"):

@@ -55,7 +55,9 @@ def test_hankel_block_all_ones():
 
 
 def test_hankel_block_entries_exact(monkeypatch):
-    # the matrices is_m_ppt decides are the reference blocks, entry for entry
+    # the matrices is_m_ppt decides are the reference blocks, entry for entry;
+    # a failing check decides the blocks up to its first failing stack and
+    # skips the rest, a PSD one decides every block
     stacks = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -65,16 +67,18 @@ def test_hankel_block_entries_exact(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
     rng = np.random.default_rng(11)
-    p = rng.uniform(0, 1, 9)
-    for m in (1, 2):
-        stacks.clear()
-        report = is_m_ppt(StateSpec(4, 3, tuple(p)), m)
-        decided = [matrix for stack in stacks for matrix in stack]
-        assert len(decided) == len(report.blocks)
-        for record, matrix in zip(report.blocks, decided):
-            np.testing.assert_array_equal(matrix, hankel_block(p, 4, 3, m, record.s))
-
-
+    for p in (rng.uniform(0, 1, 9), 0.7 ** np.arange(9) + 0.2 * 1.3 ** np.arange(9)):
+        for m in (1, 2):
+            stacks.clear()
+            report = is_m_ppt(StateSpec(4, 3, tuple(p)), m)
+            decided = [matrix for stack in stacks for matrix in stack]
+            kept = [r for r in report.blocks if r.status != "skipped"]
+            assert report.blocks[: len(kept)] == tuple(kept)
+            assert len(decided) == len(kept)
+            assert len(kept) == len(report.blocks) or kept[-1].status == "not-psd"
+            for record, matrix in zip(kept, decided):
+                np.testing.assert_array_equal(matrix, hankel_block(p, 4, 3, m, record.s))
+    assert report.verdict == "ppt"  # the geometric mixture
 def test_is_psd_examples():
     chk = is_psd(np.eye(3))
     assert chk.status == "psd" and chk.lam_min == pytest.approx(1.0)
@@ -108,6 +112,25 @@ def test_hankel_windows():
     assert stack.shape == (3, 2, 2)
     for k, shift in enumerate((0, 2, 4)):
         np.testing.assert_array_equal(stack[k], hankel(p, 2, shift))
+
+
+def test_hankel_views_are_exactly_symmetric_and_read_only():
+    # the windows are views of p: symmetric bit for bit, and not writable
+    p = np.random.default_rng(7).uniform(-1, 1, 41)
+    for H in (hankel(p, 12, 5), hankel(p, 8, np.arange(3, 20)), hankel(p, 5, np.array([1, 4, 7]))):
+        assert H.tobytes() == H.swapaxes(-1, -2).copy().tobytes()
+        assert not H.flags.writeable and np.shares_memory(H, p)
+        with pytest.raises(ValueError):
+            H[..., 0, 0] = 1.0
+    idx = np.arange(10)
+    np.testing.assert_array_equal(hankel(tuple(p), 10, 21), p[idx[:, None] + idx + 21])
+    # windows past the end of p, negative and uneven shifts are refused
+    for size, shift in [(21, 1), (1, 41), (2, -1), (3, np.array([0, 1, 3])), (3, np.array([2, 1]))]:
+        with pytest.raises(ValueError):
+            hankel(p, size, shift)
+    # matrices from callers are still tested for symmetry
+    with pytest.raises(ValueError, match="symmetric"):
+        is_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_worst_status():
@@ -300,6 +323,21 @@ def two_cpus(monkeypatch):
     yield started
 
 
+def stack_end(N, d, m, i):
+    """Index one past the last block of the stack that holds block i of
+    is_m_ppt's blocks: stacks are runs of equally sized blocks, cut every
+    STACK_BYTES // (8 * size**2) blocks (at least one)."""
+    sizes = [len(hankel_block(np.zeros(N * (d - 1) + 1), N, d, m, s)) for s in ppt_offsets(N, d, m)]
+    group = sizes.index(sizes[i])
+    step = max(1, STACK_BYTES // (8 * sizes[i] ** 2))
+    end = group + ((i - group) // step + 1) * step
+    return min(end, group + sizes.count(sizes[i]))
+
+
+def ppt_offsets(N, d, m):
+    return (0, 1) if N == 2 * m else tuple(range((N - 2 * m) * (d - 1) + 1))
+
+
 @pytest.mark.parametrize("N, d, m", SMALL + STRADDLING + POOLED)
 def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m):
     stacks = []
@@ -314,28 +352,37 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
     # an atomic-measure sequence, whose blocks are all PSD
     nodes, weights = rng.uniform(0.1, 1.5, 3), rng.uniform(0.1, 1.0, 3)
     specs.append(StateSpec(N, d, tuple(weights @ nodes[:, None] ** np.arange(N * (d - 1) + 1))))
-    for spec in specs:
-        reference = {}
+    for atomic, spec in enumerate(specs):
+        # every block of the sufficient set, decided alone
+        reference = []
+        for s in ppt_offsets(N, d, m):
+            block = hankel_block(spec.p, N, d, m, s)
+            reference.append((len(block), np.linalg.eigvalsh(block)))
         for tol in (1e-10, 1e-3):
             monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
             report = is_m_ppt(spec, m, tol)
             monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-            assert report.checked == (
-                (0, 1) if N == 2 * m else tuple(range((N - 2 * m) * (d - 1) + 1))
-            )
-            for record in report.blocks:
-                if record.s not in reference:
-                    block = hankel_block(spec.p, N, d, m, record.s)
-                    reference[record.s] = len(block), np.linalg.eigvalsh(block)
-                size, ev = reference[record.s]
-                ref = PsdCheck.from_extremes(ev[0], ev[-1], tol)
+            assert report.checked == ppt_offsets(N, d, m)
+            refs = [PsdCheck.from_extremes(ev[0], ev[-1], tol) for _, ev in reference]
+            assert report.verdict == ppt.PPT_WORDS[worst_status(r.status for r in refs)]
+            statuses = [r.status for r in refs]
+            # decided up to the end of the stack that holds the first failing
+            # block, skipped after it
+            first = statuses.index("not-psd") if "not-psd" in statuses else None
+            end = len(refs) if first is None else stack_end(N, d, m, first)
+            assert report.stopped_at == (None if first is None else report.checked[first])
+            if atomic:
+                assert end == len(refs)  # every block decided
+            for i, (record, ref, (size, _)) in enumerate(zip(report.blocks, refs, reference)):
                 assert record.size == size
+                if i >= end:
+                    assert record.status == "skipped"
+                    assert (record.lam_min, record.lam_max, record.band, record.margin) == (None,) * 4
+                    continue
                 assert (record.status, record.band, record.margin) == (ref.status, ref.band, ref.margin)
                 assert record.lam_min.hex() == ref.lam_min.hex()
                 assert record.lam_max.hex() == ref.lam_max.hex()
-    # the cap bounds memory, one stack per thread: on the large-ppt benchmark
-    # (seed 212, 2 CPUs, medians of 10 runs) peak RSS was 51.5 MB with 1 MiB
-    # stacks decided one at a time and 55.4 MB with two decided at once
+    # the cap bounds the work of one eigvalsh call, one stack per thread
     assert STACK_BYTES <= 1 << 20
     assert stacks
     for shape in stacks:
@@ -351,12 +398,15 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
 
 def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
     # with 16 KiB stacks, eight threads share one queue of 121 one-block
-    # stacks and switch as often as they can: a stack taken twice or never
-    # would change or break the records
+    # stacks and switch as often as they can: on a PSD state, whose every
+    # stack is decided, a stack taken twice or never would change or break
+    # the records
     monkeypatch.setattr(ppt, "STACK_BYTES", 1 << 14)
-    spec = StateSpec(200, 2, tuple(np.random.default_rng(5).uniform(0, 1, 201)))
+    nodes, weights = np.array([0.3, 0.8, 1.02]), np.array([0.5, 0.3, 0.2])
+    spec = StateSpec(200, 2, tuple(weights @ nodes[:, None] ** np.arange(201)))
     monkeypatch.setattr(ppt, "_cpus", lambda: 1)
     serial = is_m_ppt(spec, 40)
+    assert serial.verdict == "ppt"
     monkeypatch.setattr(ppt, "_cpus", lambda: 8)
     calls, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
@@ -370,6 +420,37 @@ def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
     assert calls == [1] * 121
     assert pooled.checked == tuple(range(121))
     assert pooled == serial
+
+
+def test_pooled_stop_equals_serial_stop(monkeypatch, two_cpus):
+    # the all-ones sequence with p[110] halved: the one-block stacks s = 30..110
+    # hold p[110] and fail, the others pass.  Eight threads that switch as
+    # often as they can decide stacks past s = 30 too, but the report is the
+    # serial one: decided up to s = 30, skipped after it
+    monkeypatch.setattr(ppt, "STACK_BYTES", 1 << 14)
+    p = np.ones(201)
+    p[110] = 0.5
+    spec = StateSpec(200, 2, tuple(p))
+    failing = [s for s in range(121) if is_psd(hankel_block(p, 200, 2, 40, s)).status == "not-psd"]
+    assert failing == list(range(30, 111))
+    monkeypatch.setattr(ppt, "_cpus", lambda: 1)
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or eigvalsh(a))
+    serial = is_m_ppt(spec, 40)
+    assert calls == [1] * 31 and not two_cpus
+    assert serial.verdict == "not-ppt" and serial.stopped_at == 30
+    assert [r.status for r in serial.blocks] == ["psd"] * 30 + ["not-psd"] + ["skipped"] * 90
+    monkeypatch.setattr(ppt, "_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            calls.clear()
+            assert is_m_ppt(spec, 40) == serial
+            assert 31 <= len(calls) <= 121
+    finally:
+        sys.setswitchinterval(interval)
+    assert two_cpus
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
