@@ -15,6 +15,7 @@ tolerance is the certificate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,34 @@ RANK_TOL = 1e-9
 
 class RecoveryError(RuntimeError):
     """Conditioning prevented recovery of a representing measure."""
+
+
+_FLOAT = np.finfo(float)
+
+
+def _times_power(x, t: float, k: np.ndarray, divide: bool = False) -> np.ndarray:
+    """x * t**k, or x / t**k with divide, over increasing integer exponents k >= 0.
+
+    Where t**k is a normal float this is numpy's result, bit for bit.  Where
+    it is not, t**k has left the float range although the result need not
+    (an atom far out with a tiny weight), so for t > 0 the result is formed
+    from t = m * 2**E instead: with e = k * log2(m) and j = ceil(e) (both
+    negated with divide), it is ldexp(x * 2**(e - j), k*E + j), which leaves
+    the float range only where its true value does."""
+    if not t > 0 or not len(k) or k[-1] * abs(math.log2(t)) < 1021:  # every t**k is normal
+        return x / t**k if divide else x * t**k
+    with np.errstate(over="ignore", under="ignore"):
+        tk = t ** k
+    far = (tk < _FLOAT.tiny) | (tk > _FLOAT.max)
+    tk[far] = 1.0
+    out = x / tk if divide else x * tk
+    m, E = math.frexp(t)
+    sign = -1 if divide else 1
+    e = sign * k[far] * math.log2(m)
+    j = np.ceil(e)
+    scaled = np.broadcast_to(x, out.shape)[far] * np.exp2(e - j)
+    out[far] = np.ldexp(scaled, (sign * E * k[far] + j).astype(int))
+    return out
 
 
 def moment_hankels(p) -> tuple[np.ndarray, np.ndarray]:
@@ -82,9 +111,9 @@ class MeasureAtoms:
 
     def moments(self, count: int) -> np.ndarray:
         """First `count` raw moments of the measure (top mass not included)."""
-        out = np.zeros(count)
+        out, k = np.zeros(count), np.arange(count)
         for t, w in self.atoms:
-            out += w * t ** np.arange(count)
+            out += _times_power(w, t, k)
         return out
 
     def reproduced(self, n: int) -> np.ndarray:
@@ -220,7 +249,9 @@ def recover_atomic_measure(p, tol: float = DEFAULT_RESIDUAL_TOL) -> MeasureAtoms
     tol * max|p| wins: for even n, the rule with one node pinned at 0 from the
     shifted sequence q_1..q_n, which matches all moments exactly whenever
     possible; then the Gauss rule of q, truncated at the recurrence's
-    numerical rank, with the surplus on the top moment.  Raises RecoveryError
+    numerical rank, with the surplus on the top moment.  Neither p_{n-1}/p_0,
+    the powers c^k nor an atom's powers t^k need lie in the float range for q
+    and the moments to (see `_times_power`).  Raises RecoveryError
     naming each rule and why it was rejected (the feasibility verdict is
     unaffected).
     """
@@ -234,8 +265,15 @@ def recover_atomic_measure(p, tol: float = DEFAULT_RESIDUAL_TOL) -> MeasureAtoms
     bound = tol * scale
     c = 1.0
     if n >= 2 and p[0] > 0 and p[n - 1] > 0:
-        c = float((p[n - 1] / p[0]) ** (1.0 / (n - 1)))
-    q = p / c ** np.arange(n + 1)
+        with np.errstate(over="ignore", under="ignore"):
+            ratio = p[n - 1] / p[0]
+        if _FLOAT.tiny <= ratio <= _FLOAT.max:
+            c = float(ratio ** (1.0 / (n - 1)))
+        else:  # the ratio left the float range, its root need not
+            # q and the nodes share c, so any c > 0 rescales exactly
+            log_c = (math.log2(p[n - 1]) - math.log2(p[0])) / (n - 1)
+            c = 2.0 ** min(max(log_c, -1022.0), 1023.0)
+    q = _times_power(p, c, np.arange(n + 1), divide=True)
 
     rejected = []
     for kind in ("radau", "gauss") if n >= 2 and n % 2 == 0 else ("gauss",):

@@ -20,14 +20,15 @@ on a view that eigvalsh copies one matrix at a time.  Stacks are decided in
 offset order, and the check stops at the first stack that holds a not-psd
 block: the blocks after it are reported as skipped.  When the blocks of one
 m-PPT check total more than STACK_BYTES and each fits in it, its stacks are
-decided concurrently (eigvalsh releases the GIL) by the calling thread and
-helper threads started for that call and joined before it returns: one
-thread per CPU the process may run on, divided by the threads each BLAS call
-takes.  Where the check stops is read from the decided records after the
-join, so it does not depend on thread timing.  Smaller checks, blocks larger
-than STACK_BYTES and a BLAS left at its default of one thread per CPU decide
-the stacks one after the other.  dsym has no setting for this: it follows
-the CPU affinity and the BLAS thread count of the environment.
+decided concurrently (eigvalsh releases the GIL) by a thread pool opened for
+that call: one worker per CPU the process may run on, divided by the
+threads each BLAS call takes.  Results are read in offset order up to the
+first failing stack, so where the check stops does not depend on timing;
+the later stacks are cancelled and the pool is joined before the call
+returns or raises.  Smaller checks, blocks larger than STACK_BYTES and a
+BLAS left at its default of one thread per CPU decide the stacks one after
+the other.  dsym has no setting for this: it follows the CPU affinity and
+the BLAS thread count of the environment.
 A min eigenvalue below -band is decisive; inside the band, values that are
 too negative to be rounding of an exact zero (below -band/100) are surfaced
 as "marginal" rather than silently coerced either way.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -161,46 +163,43 @@ def _threads() -> int:
 
 def _decide_in_order(decide, stacks: list, threads: int) -> list:
     """[decide(stack) for stack in stacks] up to and including the first stack
-    whose records hold a not-psd one, and None for the stacks after it.
+    whose records hold a not-psd one.
 
-    With threads > 1 the calling thread and threads - 1 helper threads that
-    live for this call only each take the next undecided stack, so at most
-    `threads` stacks are in flight.  A thread stops taking stacks once it
-    draws one past a stack known to fail; every stack before the first
-    failing one is still decided, by whichever thread drew it.  The cut is
-    taken after the join, from the decided records, so the result is the
-    serial one whatever the timing."""
-    out = [None] * len(stacks)
-    todo = iter(range(len(stacks)))  # a range iterator's next() holds the GIL
-    failed = len(stacks)  # a failing stack seen so far: a hint, written by every thread
+    With threads > 1 and more than one stack, the stacks go to a pool of
+    `threads` worker threads that lives for this call only.  The results are
+    read in offset order up to the first failing stack, so they are the
+    serial ones whatever the timing.  A worker whose stack fails or raises
+    cancels the later stacks before it takes another; the stacks not yet
+    started are cancelled, and the workers joined, before this returns or
+    raises."""
+    pool, decided = None, []
+    try:
+        results = map(decide, stacks)
+        if threads > 1 and len(stacks) > 1:
+            # imported here so that importing dsym does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
 
-    def drain():
-        nonlocal failed
-        for i in todo:
-            if i > failed:
-                return
-            out[i] = decide(stacks[i])
-            if _fails(out[i]):
-                failed = min(failed, i)
+            pool = ThreadPoolExecutor(threads, thread_name_prefix="dsym-ppt")
+            futures = [pool.submit(decide, stack) for stack in stacks]
+            for i, future in enumerate(futures):
+                future.add_done_callback(partial(_cancel_after, futures, i))
+            results = (future.result() for future in futures)
+        for records in results:
+            decided.append(records)
+            if _fails(records):
+                break
+        return decided
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
 
-    helpers = min(threads, len(stacks)) - 1
-    if helpers < 1:
-        drain()
-    else:
-        # imported here so that importing dsym does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(helpers, thread_name_prefix="dsym-ppt") as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            try:
-                drain()
-            finally:
-                for _ in todo:  # if the caller failed, leave the helpers nothing more
-                    pass
-            for future in futures:
-                future.result()
-    cut = next((i for i, records in enumerate(out) if _fails(records)), len(out))
-    return out[: cut + 1] + [None] * (len(out) - cut - 1)
+def _cancel_after(futures: list, i: int, future) -> None:
+    """Done callback of stack i, run by its worker before it takes another
+    stack: cancels the later stacks when stack i raised or failed."""
+    if not future.cancelled() and (future.exception() is not None or _fails(future.result())):
+        for later in futures[i + 1 :]:
+            later.cancel()
 
 
 def _fails(records) -> bool:
@@ -272,12 +271,12 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     with status "skipped" and no eigenvalues, band or margin.  When the
     blocks total more than STACK_BYTES and each fits in it, the stacks are
     decided concurrently on the CPUs that BLAS leaves free (see the module
-    docstring), one stack per thread at a time, so STACK_BYTES sets the
-    granularity of the threads' work; the helper threads are the call's own
-    and have ended when it returns or raises.  Records come back in offset
-    order either way, with the same bits and the same skipped blocks.  There
-    is no setting for this.  Raises ValueError when a block's spectrum
-    overflows.
+    docstring), one stack per worker thread at a time, so STACK_BYTES sets
+    the granularity of the workers' work; the pool is the call's own, stops
+    at the first failing stack or error, and has ended when the call returns
+    or raises.  Records come back in offset order either way, with the same
+    bits and the same skipped blocks.  There is no setting for this.  Raises
+    ValueError when a block's spectrum overflows.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N // 2:
@@ -308,12 +307,11 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     # a block larger than the cap is decided alone, on the calling thread
     pooled = total > STACK_BYTES >= 8 * (a + 1) ** 2
     decided = _decide_in_order(decide, stacks, _threads() if pooled else 1)
-    records = []
-    for (size, shifts), stack_records in zip(stacks, decided):
-        if stack_records is None:
-            stack_records = [
-                BlockRecord(SKIPPED, None, None, None, s=s, size=size) for s in shifts.tolist()
-            ]
-        records += stack_records
+    records = [r for stack_records in decided for r in stack_records]
+    records += [
+        BlockRecord(SKIPPED, None, None, None, s=s, size=size)
+        for size, shifts in stacks[len(decided) :]
+        for s in shifts.tolist()
+    ]
     verdict = PPT_WORDS[worst_status(r.status for r in records)]
     return PPTReport(m=m, verdict=verdict, blocks=tuple(records))

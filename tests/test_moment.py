@@ -1,6 +1,8 @@
 """Moment-problem feasibility, measure recovery, and the separability verdict."""
 
 import json
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -161,10 +163,59 @@ def test_recovery_drops_an_empty_far_atom():
 
 
 def test_rule_with_overflowing_moments_is_rejected():
+    # the far atom's moment 1e-100 * (1e3)**160 = 1e380 is out of the float range
     p = atoms_moments([0.5], [1.0], 160)
     with pytest.raises(dsym.moment._Rejected) as raised:
-        dsym.moment._evaluate_candidate([(0.5, 1.0), (1e3, 1e-300)], p, 1e-8)
+        dsym.moment._evaluate_candidate([(0.5, 1.0), (1e3, 1e-100)], p, 1e-8)
     assert raised.value.args == (2, "moments overflow")
+
+
+def test_times_power_keeps_numpys_bits_and_the_exact_value_elsewhere():
+    # x * t**k and x / t**k are numpy's results wherever t**k is a normal
+    # float; where numpy's t**k over- or underflows, results in the normal
+    # range are still within 1e-13 of the exact rational value
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    far = 0
+    cases = [(1.0, 0.7), (2.5, 3.0), (1e-300, 1e150), (1e300, 1e-100), (1e-250, 1e3), (1e250, 0.02)]
+    for x, t in cases:
+        for divide in (False, True):
+            exact, step = [Fraction(x)], 1 / Fraction(t) if divide else Fraction(t)
+            while len(exact) < 400:
+                exact.append(exact[-1] * step)
+            k = np.array([i for i, e in enumerate(exact) if tiny <= e <= big])
+            got = dsym.moment._times_power(x, t, k, divide)
+            with np.errstate(over="ignore", under="ignore"):
+                tk = t**k
+                numpy = x / tk if divide else x * tk
+            normal = (tiny <= tk) & (tk <= big)
+            far += (~normal).sum()
+            assert [v.hex() for v in got[normal]] == [v.hex() for v in numpy[normal]]
+            for i, v in zip(k[~normal], got[~normal]):
+                assert abs(Fraction(v) - exact[i]) <= Fraction(1e-13) * exact[i]
+    assert far > 100
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        (1e-300, 1e-150, 1.0, 1e150, 1e300),
+        (1e-200, 1e-100, 1.0, 1e100, 1e200),
+        (1e-300, 1e-200, 1e-100, 1.0, 1e100),
+        (1e300, 1e200, 1e100, 1.0, 1e-100),
+    ],
+)
+def test_wide_range_geometric_sequence_is_reproduced_entry_by_entry(p):
+    # one atom w * t**k whose ratio p_3 / p_0, rescaling c**k or powers t**k
+    # leave the float range although every p_k and q_k = p_k / c**k is in it:
+    # the measure is the atom itself, with no top mass standing in for a
+    # lost moment, and every p_k is reproduced, not only the largest
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = recover_atomic_measure(p)
+        reproduced = rec.reproduced(4)
+        assert is_separable(StateSpec(4, 2, p)).atoms == rec
+    assert len(rec.atoms) == 1 and rec.top_mass == 0.0
+    assert np.all(np.abs(reproduced - p) <= 1e-12 * np.abs(p))
 
 
 @pytest.mark.parametrize("length", [33, 49])

@@ -4,6 +4,8 @@ import os
 import signal
 import sys
 import threading
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -393,11 +395,11 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
     if (N, d, m) in SMALL or 8 * (m * (d - 1) + 1) ** 2 > STACK_BYTES:
         assert not two_cpus
     if (N, d, m) in POOLED:
-        assert two_cpus == ["dsym-ppt_0"] * 4  # one helper per call
+        assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"] * 4  # two workers per call
 
 
 def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
-    # with 16 KiB stacks, eight threads share one queue of 121 one-block
+    # with 16 KiB stacks, eight workers share one queue of 121 one-block
     # stacks and switch as often as they can: on a PSD state, whose every
     # stack is decided, a stack taken twice or never would change or break
     # the records
@@ -416,7 +418,8 @@ def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
         pooled = is_m_ppt(spec, 40)
     finally:
         sys.setswitchinterval(interval)
-    assert 1 <= len(two_cpus) <= 7 and set(two_cpus) <= {f"dsym-ppt_{i}" for i in range(7)}
+    assert two_cpus == [f"dsym-ppt_{i}" for i in range(len(two_cpus))]
+    assert 1 <= len(two_cpus) <= 8
     assert calls == [1] * 121
     assert pooled.checked == tuple(range(121))
     assert pooled == serial
@@ -480,20 +483,17 @@ def test_threads_leave_room_for_blas(monkeypatch):
     assert ppt._threads() == 0
 
 
-@pytest.mark.parametrize("fails_on", [None, "helper", "caller"])
+@pytest.mark.parametrize("fails_on", [None, "helper"])
 def test_pooled_call_leaves_no_thread_behind(monkeypatch, two_cpus, fails_on):
-    # the helpers are joined before is_m_ppt returns or raises, and an
-    # eigvalsh failure on either side reaches the caller
-    caller, helper_took_one = threading.current_thread(), threading.Event()
-    eigvalsh = np.linalg.eigvalsh
+    # every stack of a pooled call is decided on a worker thread, the workers
+    # are joined before is_m_ppt returns or raises, and an eigvalsh failure on
+    # a worker reaches the caller
+    caller, eigvalsh = threading.current_thread(), np.linalg.eigvalsh
 
     def failing(a):
-        on_caller = threading.current_thread() is caller
-        if not on_caller:
-            helper_took_one.set()
-        elif fails_on == "helper":  # let a helper take a stack first
-            assert helper_took_one.wait(10)
-        if fails_on == ("caller" if on_caller else "helper"):
+        if threading.current_thread() is caller:
+            raise AssertionError("a pooled stack was decided on the calling thread")
+        if fails_on:
             raise np.linalg.LinAlgError(f"planted on the {fails_on}")
         return eigvalsh(a)
 
@@ -505,7 +505,83 @@ def test_pooled_call_leaves_no_thread_behind(monkeypatch, two_cpus, fails_on):
         with pytest.raises(np.linalg.LinAlgError, match=f"planted on the {fails_on}"):
             is_m_ppt(spec, 100)
     assert not [t for t in threading.enumerate() if t.name.startswith("dsym-ppt")]
-    assert two_cpus == ["dsym-ppt_0"]
+    assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"]
+
+
+def test_worker_failure_cancels_the_stacks_not_started(monkeypatch, two_cpus):
+    # a PSD check of 17 stacks whose first stack raises on a worker: that
+    # worker cancels the later stacks, and the caller, reading the stacks in
+    # order, gets the error at once.  Every other decision is held back for a
+    # while, so that none ends before the cancellation; only the stack the
+    # other worker holds, and at most one more taken while the stacks are
+    # still being handed out, are decided
+    nodes, weights = np.array([0.3, 0.8, 1.02]), np.array([0.5, 0.3, 0.2])
+    p = weights @ nodes[:, None] ** np.arange(401)
+    stacks = -(-201 // (STACK_BYTES // (8 * 101**2)))
+    assert stacks == 17
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def failing(a):
+        calls.append(len(a))
+        if a[0, 0, 0] == p[0] and threading.current_thread().name.startswith("dsym-ppt"):
+            raise np.linalg.LinAlgError("planted on a worker")
+        time.sleep(0.5)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="planted on a worker"):
+        is_m_ppt(StateSpec(400, 2, tuple(p)), 100)
+    assert not [t for t in threading.enumerate() if t.name.startswith("dsym-ppt")]
+    assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"]
+    assert 2 <= len(calls) <= 3 < stacks
+
+
+def test_interrupted_caller_cancels_the_stacks_not_started(monkeypatch, two_cpus):
+    # the caller gives up while it waits for stack 0 (an error of its own, not
+    # of a decision): the stacks no worker has started are cancelled, and the
+    # workers finish the one each holds and are joined
+    class Interrupted(Exception):
+        pass
+
+    caller, result = threading.current_thread(), Future.result
+
+    def interrupted(future, timeout=None):
+        if threading.current_thread() is caller:
+            raise Interrupted
+        return result(future, timeout)
+
+    nodes, weights = np.array([0.3, 0.8, 1.02]), np.array([0.5, 0.3, 0.2])
+    spec = StateSpec(400, 2, tuple(weights @ nodes[:, None] ** np.arange(401)))
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def held_back(a):
+        calls.append(len(a))
+        time.sleep(0.2)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(Future, "result", interrupted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", held_back)
+    with pytest.raises(Interrupted):
+        is_m_ppt(spec, 100)
+    assert not [t for t in threading.enumerate() if t.name.startswith("dsym-ppt")]
+    assert 1 <= len(calls) <= 2
+
+
+def test_failing_or_raising_stack_cancels_the_later_stacks():
+    # the done callback of pooled stack 1: a not-psd record or an error
+    # cancels the later stacks not yet started (3, not 2, which a worker
+    # holds), and never an earlier one (0) or any on a psd stack
+    psd = [ppt.BlockRecord.from_extremes(0.5, 2.0, 1e-10, s=1, size=2)]
+    not_psd = [ppt.BlockRecord.from_extremes(-0.5, 2.0, 1e-10, s=1, size=2)]
+    for outcome in ("psd", "not-psd", "error"):
+        futures = [Future() for _ in range(4)]
+        futures[2].set_running_or_notify_cancel()
+        if outcome == "error":
+            futures[1].set_exception(np.linalg.LinAlgError("planted"))
+        else:
+            futures[1].set_result(psd if outcome == "psd" else not_psd)
+        ppt._cancel_after(futures, 1, futures[1])
+        assert [f.cancelled() for f in futures] == [False, False, False, outcome != "psd"]
 
 
 def test_overflowed_spectrum_raises():
@@ -524,13 +600,13 @@ def test_pooled_call_in_forked_child(two_cpus):
     # the child of a process that has run a pooled call decides pooled too
     spec = StateSpec(400, 2, tuple(np.random.default_rng(4).uniform(0, 1, 401)))
     expected = is_m_ppt(spec, 100)
-    assert two_cpus == ["dsym-ppt_0"]
+    assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"]
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
             signal.alarm(10)  # a hung child is killed by SIGALRM
-            same = is_m_ppt(spec, 100) == expected and two_cpus[1:] == ["dsym-ppt_0"]
+            same = is_m_ppt(spec, 100) == expected and two_cpus[2:] == ["dsym-ppt_0", "dsym-ppt_1"]
             code = 0 if same else 2
         finally:
             os._exit(code)
