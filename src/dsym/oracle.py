@@ -11,12 +11,18 @@ real symmetric arithmetic, while complex inputs (product states, separable
 ensembles) stay complex.  Permutation operators are real.
 
 A spectrum is taken one connected component of the matrix's nonzero
-pattern at a time, with the components found from the matrix alone (no
-digit sums, no Hankel blocks), so the oracle's verdict stays independent of
-`ppt`.  When every p_k > 0, the components of a diagonal D-symmetric state's
-partial transpose are its digit-sum offset blocks, whose index sets
-``offset_supports`` gives (zero coefficients split them further); this makes
-the eigensolve work on 2^10 32x smaller than one 1024 x 1024 eigvalsh.
+pattern at a time, and each component on its quotient by identical rows,
+with both found from the matrix alone (no digit sums, no Hankel blocks), so
+the oracle's verdict stays independent of `ppt`.  Rows i and j of a
+Hermitian block that are equal make e_i - e_j a null vector, and the rest
+of the block's spectrum is that of the quotient D^1/2 B[r, r] D^1/2 on one
+row r per class of equal rows, with D the class sizes.  When every p_k > 0,
+the components of a diagonal D-symmetric state's partial transpose are its
+digit-sum offset blocks, whose index sets ``offset_supports`` gives (zero
+coefficients split them further).  A block's entries are p[a_i + b_j], and
+b - a is fixed on it, so its rows depend on a alone: each quotient has at
+most min(w, N - w)(d - 1) + 1 rows for w transposed parties.  On 2^10 with
+w = 5 the largest eigensolve is 6 x 6, not 252 x 252.
 
 The dense forms of the production certificates, for tests, are
 ``witness_matrix`` (a ``WitnessSpec``) and ``ensemble_matrix`` (a
@@ -163,27 +169,98 @@ def _row_closures(pattern: np.ndarray) -> list[np.ndarray]:
     return components
 
 
+def _row_hashes(bits: np.ndarray) -> np.ndarray:
+    """Hash mod 2^64 of each row of a (rows, words) uint64 array.
+
+    Each word is folded (its high half xor-ed onto its low half, a
+    bijection) and weighted by splitmix64 of its column number.  Folding
+    keeps a difference in the top bits alone, such as a sign, from
+    vanishing in the sum.
+    """
+    z = np.arange(1, bits.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (bits ^ (bits >> np.uint64(32))) @ (z ^ (z >> np.uint64(31)))
+
+
+def _row_classes(stacks: list[np.ndarray], block: np.ndarray) -> np.ndarray:
+    """Class representative of every row of the (blocks, k, k) stacks, read
+    in order as one flat list of rows with block numbers `block`.
+
+    A row's representative is the lowest row of its block with the same
+    hash if one compare finds their bits equal, else the row itself.  So a
+    class only ever holds bitwise-identical rows; a hash collision can only
+    leave equal rows in separate classes.
+    """
+    bits = [
+        np.ascontiguousarray(B, dtype=np.result_type(B, np.float64))
+        .view(np.uint64)
+        .reshape(B.shape[0] * B.shape[1], -1)
+        for B in stacks
+    ]
+    hashes = np.concatenate([_row_hashes(b) for b in bits])
+    # rows lie block by block, so a stable sort by hash keeps the rows of one
+    # block and hash together, lowest first
+    order = hashes.argsort(kind="stable")
+    run_start = np.ones(len(order), dtype=bool)
+    run_start[1:] = (np.diff(block[order]) != 0) | (np.diff(hashes[order]) != 0)
+    first = np.maximum.accumulate(np.where(run_start, np.arange(len(order)), 0))
+    rep = np.empty_like(order)
+    rep[order] = order[first]
+    start = 0
+    for b in bits:
+        local = rep[start : start + len(b)] - start
+        same = (b == b[local]).all(axis=1)
+        rep[start : start + len(b)] = np.where(same, local, np.arange(len(b))) + start
+        start += len(b)
+    return rep
+
+
 def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
     The matrix is the direct sum of its diagonal blocks on the components of
-    its nonzero pattern, so its spectrum is theirs: blocks of equal size are
-    stacked into one eigvalsh call.  Every nonzero entry lies in a block, so
-    testing the blocks to 1e-12 * max(1, max|M|) is the whole-matrix
-    Hermitian test.
+    its nonzero pattern, so its spectrum is theirs.  Every nonzero entry
+    lies in a block, so testing the blocks for non-finite entries, and for
+    Hermiticity to 1e-12 * max(1, max|M|), tests the whole matrix.
+
+    Each block B is then reduced to the classes of its bitwise-identical
+    rows.  With r one row per class and D the class sizes, B = S^T B[r, r] S
+    for the 0/1 class-membership matrix S (equal rows i and j of a
+    Hermitian matrix make columns i and j equal too), and S S^T = D.  The
+    spectrum of B is therefore that of C = D^1/2 B[r, r] D^1/2, plus an
+    exact 0 whenever a class has two rows i and j: e_i - e_j is a null
+    vector.  Quotients of equal size are stacked into one eigvalsh call.
     """
     M = np.asarray(M)
     by_size = {}
     for c in _components(M):
         by_size.setdefault(len(c), []).append(c)
-    # one (blocks, size, size) stack per size
-    stacks = [M[idx[:, :, None], idx[:, None, :]] for idx in map(np.array, by_size.values())]
+    # one (blocks, size) index array and (blocks, size, size) stack per size
+    supports = [np.array(cs) for cs in by_size.values()]
+    stacks = [M[idx[:, :, None], idx[:, None, :]] for idx in supports]
     entries = np.concatenate([B.ravel() for B in stacks])
     mirrors = np.concatenate([B.swapaxes(-1, -2).ravel() for B in stacks])
-    scale = max(1.0, float(abs(entries).max()))
-    if abs(entries - mirrors.conj()).max() > 1e-12 * scale:
+    scale = float(abs(entries).max())
+    if not np.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    if abs(entries - mirrors.conj()).max() > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not Hermitian")
-    spectra = np.concatenate([np.linalg.eigvalsh(B).ravel() for B in stacks])
+    block_rows = np.concatenate([np.full(len(idx), idx.shape[1]) for idx in supports])
+    block = np.repeat(np.arange(len(block_rows)), block_rows)
+    rep = _row_classes(stacks, block)
+    is_rep = rep == np.arange(len(rep))
+    root = np.sqrt(np.bincount(rep, minlength=len(rep))[is_rep])
+    rows = np.concatenate([idx.ravel() for idx in supports])[is_rep]
+    block = block[is_rep]
+    quotient_rows = np.bincount(block)[block]  # per class, the size of its block's quotient
+    spectra = [np.zeros(int(not is_rep.all()))]  # the null vectors' 0, if any
+    for q in np.unique(quotient_rows):
+        r = rows[quotient_rows == q].reshape(-1, q)
+        s = root[quotient_rows == q].reshape(-1, q)
+        C = M[r[:, :, None], r[:, None, :]] * s[:, :, None] * s[:, None, :]
+        spectra.append(np.linalg.eigvalsh(C).ravel())
+    spectra = np.concatenate(spectra)
     return float(spectra.min()), float(spectra.max())
 
 

@@ -1,6 +1,7 @@
 """Dense partial transposes, permutation operators, and symmetry checks."""
 
 import itertools
+import warnings
 from math import comb
 
 import numpy as np
@@ -10,6 +11,8 @@ from dsym.combinatorics import tuple_to_index
 from dsym.oracle import (
     _components,
     _extreme_eigenvalues,
+    _row_classes,
+    _row_hashes,
     check_d_symmetry,
     check_mask_equivalence,
     dense_ppt_check,
@@ -234,10 +237,11 @@ def test_dense_ppt_check_eigensolves_real_states_in_real_arithmetic(
     assert real and seen
     assert {dtype for dtype, _ in real} == {np.dtype(np.float64)}
     assert {dtype for dtype, _ in seen} == {np.dtype(np.complex128)}
-    # each eigensolve sees one block of the split, never the 27 x 27 whole
-    largest = max(map(len, offset_supports(3, 3, 1)))
-    assert largest == 7
-    assert max(rows for _, rows in real + seen) <= largest
+    # each eigensolve sees the quotient of a block by its identical rows:
+    # at most min(w, N - w)(d - 1) + 1 = 3 rows, never a whole 7-row offset
+    # block or the 27 x 27 matrix
+    assert max(map(len, offset_supports(3, 3, 1))) == 7
+    assert max(rows for _, rows in real + seen) <= 3
 
 
 def _real_and_complex_agree(spec, mask):
@@ -390,3 +394,179 @@ def test_components_are_the_offset_blocks():
             assert found == supports - {frozenset()}, (N, d, m)
             if d == 2:
                 assert sorted(map(len, found)) == sorted(comb(N, k) for k in range(N + 1))
+
+
+def _spy_eigvalsh_rows(monkeypatch):
+    """Record the row count of every eigvalsh call from now on."""
+    rows = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        rows.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return rows
+
+
+def test_dense_ppt_check_eigensolves_quotients_on_dense_verify_mix(monkeypatch):
+    # a block's rows depend only on the digit sum a of the transposed
+    # parties, and b - a is fixed on it, so it has at most
+    # min(w, N - w)(d - 1) + 1 distinct rows, also when zeros in p split it
+    rng = np.random.default_rng(83)
+    rows = _spy_eigvalsh_rows(monkeypatch)
+    for d, N in DENSE_VERIFY_MIX:
+        p = rng.uniform(0.0, 1.0, N * (d - 1) + 1)
+        with_zeros = p.copy()
+        with_zeros[rng.choice(len(p), size=len(p) // 3, replace=False)] = 0.0
+        for q in (p, with_zeros):
+            rho = build_state(StateSpec(N, d, tuple(q)))
+            for w in range(1, N // 2 + 1):
+                prefix = (1,) * w + (0,) * (N - w)
+                for mask in (prefix, tuple(int(b) for b in rng.permutation(prefix))):
+                    rows.clear()
+                    dense_ppt_check(rho, mask, d)
+                    assert rows and max(rows) <= min(w, N - w) * (d - 1) + 1, (d, N, mask)
+
+
+def _quotient_planted(rng, classes, dtype):
+    """A Hermitian matrix that is the direct sum, under a random permutation,
+    of blocks S^T A S: A is a random Hermitian matrix with one row per
+    class, some of its entries zero, and S repeats row c of A classes[i][c]
+    times.  The first class of each block is a zero row and column of A, so
+    its copies are zero rows of the whole matrix.  The last copy of each
+    repeated class gets -0.0 where its classmates have 0.0, which only the
+    bits can tell."""
+    blocks = []
+    for sizes in classes:
+        A = rng.normal(size=(len(sizes),) * 2)
+        if dtype == complex:
+            A = A + 1j * rng.normal(size=A.shape)
+        A[rng.random(A.shape) < 0.3] = 0.0
+        A = np.triu(A, 1) + np.triu(A, 1).conj().T + np.diag(A.diagonal().real)
+        A[0, :] = A[:, 0] = 0.0
+        member = np.repeat(np.arange(len(sizes)), sizes)
+        B = A[np.ix_(member, member)].astype(dtype)
+        for c in np.flatnonzero(np.asarray(sizes) > 1):
+            i = np.flatnonzero(member == c)[-1]
+            B[i, B[i] == 0] = -0.0
+        blocks.append(B)
+    n = sum(map(len, blocks))
+    M = np.zeros((n, n), dtype=dtype)
+    start = 0
+    for B in blocks:
+        M[start : start + len(B), start : start + len(B)] = B
+        start += len(B)
+    perm = rng.permutation(n)
+    return M[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_quotient_spectrum_matches_full_eigvalsh_on_planted_classes(monkeypatch, dtype):
+    rng = np.random.default_rng(84)
+    rows = _spy_eigvalsh_rows(monkeypatch)
+    for _ in range(40):
+        classes = [
+            [int(k) for k in rng.choice([1, 1, 2, 3, 6], size=int(rng.integers(1, 7)))]
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        # and one block with no duplicated row
+        classes.append([1] * int(rng.integers(1, 5)))
+        M = _quotient_planted(rng, classes, dtype)
+        assert abs(M - M.conj().T).max() == 0
+        ev = np.linalg.eigvalsh(M)
+        rows.clear()
+        _assert_extremes_match(ev, *_extreme_eigenvalues(M))
+        # at most one row per class, plus one per -0.0 copy
+        assert max(rows) <= max(len(c) + sum(k > 1 for k in c) for c in classes)
+
+
+def test_quotient_spectrum_gains_the_null_vectors_zero():
+    # rows 0 and 1 are equal: e_0 - e_1 is a null vector of a matrix whose
+    # quotient [[4, 2 sqrt 2], [2 sqrt 2, 3]] has no zero eigenvalue
+    M = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [2.0, 2.0, 3.0]])
+    lam_min, lam_max = _extreme_eigenvalues(M)
+    assert lam_min == 0.0
+    _assert_extremes_match(np.linalg.eigvalsh(M), lam_min, lam_max)
+    assert _extreme_eigenvalues(-M) == (-lam_max, 0.0)
+    assert _extreme_eigenvalues(np.ones((4, 4))) == pytest.approx((0.0, 4.0), abs=1e-12)
+
+
+def _bitwise_classes(stacks):
+    """The lowest row of the same block with the same bytes, row by row,
+    over the stacks' rows read in order."""
+    rep = []
+    for B in (B for stack in stacks for B in stack):
+        keys = [row.tobytes() for row in B]
+        rep += [len(rep) + keys.index(key) for key in keys]
+    return np.array(rep)
+
+
+def _row_blocks(stacks):
+    return np.repeat(np.arange(sum(map(len, stacks))), [B.shape[1] for s in stacks for B in s])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_classes_are_the_bitwise_identical_rows(dtype):
+    rng = np.random.default_rng(85)
+    k = 16
+    base = rng.normal(size=k).astype(dtype)
+    base[rng.permutation(k)[: k // 2]] = 0.0
+    # a row, its negation, copies of it with -0.0 at one or two of its
+    # zeros (differences in the top bit alone), and zero rows of each sign
+    variants = [base, -base, np.zeros(k), np.full(k, -0.0)]
+    zeros = np.flatnonzero(base == 0)[:4]
+    for places in [*zeros, *itertools.combinations(zeros, 2)]:
+        row = base.copy()
+        row[np.atleast_1d(places)] = -0.0
+        variants.append(row)
+    stacks = []
+    for size in (k, k // 2):
+        picks = rng.integers(0, len(variants), (3, size))
+        rows = [[variants[i][:size] for i in pick] for pick in picks]
+        stacks.append(np.array(rows).astype(dtype))
+    # the same rows recur in every block, but a class never spans two blocks
+    rep = _row_classes(stacks, _row_blocks(stacks))
+    np.testing.assert_array_equal(rep, _bitwise_classes(stacks))
+
+
+def test_row_classes_keep_colliding_rows_apart():
+    # the hash is linear in the folded words, with weight z_j on column j
+    # (read off unit rows), so adding z_b to word a and -z_a to word b of a
+    # row changes its bits but not its hash
+    z = _row_hashes(np.eye(4, dtype=np.uint64))
+    x = np.random.default_rng(86).normal(size=4).view(np.uint64)
+    folded = x ^ (x >> np.uint64(32))
+    folded[:1] += z[1:2]  # array arithmetic wraps mod 2^64 silently
+    folded[1:2] -= z[:1]
+    y = folded ^ (folded >> np.uint64(32))
+    assert (x != y).any()
+    assert _row_hashes(np.array([x, y]))[0] == _row_hashes(np.array([x, y]))[1]
+    stack = np.array([[x, y, x, y]]).view(np.float64)
+    # y is kept apart from x, and so, unmerged, from its own copy
+    np.testing.assert_array_equal(_row_classes([stack], np.zeros(4, dtype=int)), [0, 1, 0, 3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_are_rejected(bad, ppt_entangled_spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for M in (
+            [[1.0, bad], [bad, 1.0]],
+            [[bad]],
+            [[1.0, 0.0], [0.0, bad]],
+            [[1.0, complex(0.0, bad)], [complex(0.0, -bad), 1.0]],
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                min_eigenvalue(np.array(M))
+        rho = build_state(ppt_entangled_spec)
+        for i, j in [(0, 0), (4, 12), (0, 26)]:
+            bad_rho = rho.copy()
+            bad_rho[i, j] = bad_rho[j, i] = bad
+            for mask in [(1, 0, 0), (0, 1, 1)]:
+                with pytest.raises(ValueError, match="non-finite"):
+                    dense_ppt_check(bad_rho, mask, 3)
+            bad_rho = rho.astype(complex)
+            bad_rho[i, j] = complex(bad, 0.0)
+            with pytest.raises(ValueError, match="non-finite"):
+                dense_ppt_check(bad_rho, (1, 0, 0), 3)
