@@ -16,7 +16,7 @@ matrix of an ensemble, for verification, is ``oracle.ensemble_matrix``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,8 +52,6 @@ class SeparableEnsemble:
         Its reconstruction_error is None: the terms alone do not give the
         distance to the normalized state, which
         ``ensemble_from_measure(..., normalize=True)`` reports."""
-        # log-weights, shifted by their maximum before exp: weight * norm**(2N)
-        # itself overflows for an atom t > 1 at large N
         logs, units = [], []
         for weight, phi in self.terms:
             if weight < 0:
@@ -68,12 +66,20 @@ class SeparableEnsemble:
                 phi = vec / norm
             logs.append(log_w)
             units.append(phi)
-        top = max(logs, default=-math.inf)
-        if top == -math.inf:
-            raise ValueError("cannot normalize an ensemble with zero total weight")
-        weights = np.exp(np.array(logs) - top)
-        weights /= weights.sum()
+        weights = _convex_weights(logs, np.ones(len(logs)))
         return SeparableEnsemble(self.N, self.d, tuple(zip(weights.tolist(), units)))
+
+
+def _convex_weights(logs, counts: np.ndarray) -> np.ndarray:
+    """Weights proportional to exp(logs) whose total over counts[g] terms of
+    weight g is 1.  The log-weights are shifted by their maximum before exp:
+    weight * norm**(2N) itself overflows for an atom t > 1 at large N."""
+    logs = np.asarray(logs, dtype=float)
+    top = logs.max(initial=-math.inf)
+    if top == -math.inf:
+        raise ValueError("cannot normalize an ensemble with zero total weight")
+    weights = np.exp(logs - top)
+    return weights / (weights * counts).sum()
 
 
 def _fourier_vectors(N: int, d: int, t: float) -> np.ndarray:
@@ -145,29 +151,37 @@ def reconstruction_error(N: int, d: int, moments, p, normalize: bool = False) ->
 def ensemble_from_measure(
     spec: StateSpec, measure: MeasureAtoms, normalize: bool = False
 ) -> SeparableEnsemble:
-    """Fourier ensembles of the measure's atoms plus the top state; with
-    `normalize`, as the convex combination of ``SeparableEnsemble.normalized``.
-    Each Fourier family reproduces its atom's moments exactly, so the
-    ensemble is the state with coefficients measure.reproduced(n), and its
+    """Fourier ensembles of the measure's atoms plus the top state.  Each
+    Fourier family reproduces its atom's moments exactly, so the ensemble is
+    the state with coefficients measure.reproduced(n), and its
     reconstruction_error is the closed form against p; no dense matrix is
-    built."""
+    built.
+
+    With `normalize`, the terms are unit-trace product states with weights
+    summing to 1, as ``SeparableEnsemble.normalized`` gives them, but from
+    one log-weight per atom: every phase has unit modulus, so each Fourier
+    vector of an atom t has squared norm sum_{i<d} t^i in closed form, and
+    the atom's terms share one weight bit for bit."""
     N, d = spec.N, spec.d
     L = N * (d - 1) + 1
-    terms: list[tuple[float, np.ndarray | str]] = []
+    # per atom, then the top state: (weight, squared norm of each vector, vectors)
+    groups: list[tuple[float, float, np.ndarray | list[str]]] = []
     for t, w in measure.atoms:
         if t == 0.0:
             # every Fourier vector degenerates to |0>, so emit one term
-            vec = np.zeros(d, dtype=np.complex128)
-            vec[0] = 1.0
-            terms.append((w, vec))
-            continue
-        weight = w * (1.0 / L)
-        terms.extend((weight, phi) for phi in _fourier_vectors(N, d, t))
+            groups.append((w, 1.0, np.eye(1, d, dtype=np.complex128)))
+        else:
+            norm2 = math.fsum(t**i for i in range(d))
+            groups.append((w * (1.0 / L), norm2, _fourier_vectors(N, d, t)))
     if measure.top_mass > 0:
-        terms.append((measure.top_mass, TOP))
-    ensemble = SeparableEnsemble(N, d, tuple(terms))
+        groups.append((measure.top_mass, 1.0, [TOP]))
     if normalize:
-        ensemble = ensemble.normalized()
+        logs = [math.log(w) + N * math.log(norm2) for w, norm2, _ in groups]
+        weights = _convex_weights(logs, np.array([len(v) for _, _, v in groups]))
+        groups = [
+            (weight, 1.0, v / math.sqrt(norm2) if isinstance(v, np.ndarray) else v)
+            for weight, (_, norm2, v) in zip(weights.tolist(), groups)
+        ]
+    terms = tuple((weight, phi) for weight, _, vectors in groups for phi in vectors)
     err = reconstruction_error(N, d, measure.reproduced(N * (d - 1)), spec.p, normalize)
-    return replace(ensemble, reconstruction_error=err)
-
+    return SeparableEnsemble(N, d, terms, err)

@@ -22,7 +22,11 @@ digit-sum offset blocks, whose index sets ``offset_supports`` gives (zero
 coefficients split them further).  A block's entries are p[a_i + b_j], and
 b - a is fixed on it, so its rows depend on a alone: each quotient has at
 most min(w, N - w)(d - 1) + 1 rows for w transposed parties.  On 2^10 with
-w = 5 the largest eigensolve is 6 x 6, not 252 x 252.
+w = 5 the largest eigensolve is 6 x 6, not 252 x 252.  The blocks of one
+size are gathered as one stack by a single ``take`` on flat indices of the
+matrix, and the finite and Hermitian tests run stack by stack: past its
+nonzero pattern, no step reads the whole d**N x d**N matrix (``ravel``
+copies it once if it is not C-contiguous).
 
 The dense forms of the production certificates, for tests, are
 ``witness_matrix`` (a ``WitnessSpec``) and ``ensemble_matrix`` (a
@@ -143,13 +147,15 @@ def _components(M: np.ndarray) -> list[np.ndarray]:
     they are the components and hold every nonzero of M.  Only an entry
     whose mirror is zero can make two sets overlap (its row reaches an index
     whose row does not reach back); then the sets are grown again on the
-    pattern read from both triangles.
+    pattern read from both triangles.  An empty matrix raises ValueError.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not len(M):
+        raise ValueError("matrix is empty")
     pattern = M != 0
-    np.fill_diagonal(pattern, True)
+    np.fill_diagonal(pattern, False)
     components = _row_closures(pattern)
     if sum(map(len, components)) > len(M):
         components = _row_closures(pattern | pattern.T)
@@ -157,10 +163,12 @@ def _components(M: np.ndarray) -> list[np.ndarray]:
 
 
 def _row_closures(pattern: np.ndarray) -> list[np.ndarray]:
-    seen = pattern.sum(axis=1) == 1
+    """Row-closed index sets of an off-diagonal pattern (diagonal False)."""
+    seen = ~pattern.any(axis=1)
     components = list(seen.nonzero()[0][:, None])
     while not seen[seed := seen.argmin()]:
-        reach = new = pattern[seed]
+        reach = new = pattern[seed].copy()
+        reach[seed] = True
         while np.count_nonzero(new):
             new = np.logical_or.reduce(pattern[new]) > reach  # reached for the first time
             reach = reach | new
@@ -220,9 +228,11 @@ def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a Hermitian matrix.
 
     The matrix is the direct sum of its diagonal blocks on the components of
-    its nonzero pattern, so its spectrum is theirs.  Every nonzero entry
-    lies in a block, so testing the blocks for non-finite entries, and for
-    Hermiticity to 1e-12 * max(1, max|M|), tests the whole matrix.
+    its nonzero pattern, so its spectrum is theirs.  The blocks of one size
+    are gathered as one (blocks, size, size) stack by a single ``take`` on
+    flat indices of ``M.ravel()``.  Every nonzero entry lies in a block, so
+    testing each stack for non-finite entries, and for Hermiticity to
+    1e-12 * max(1, max|M|), tests the whole matrix.
 
     Each block B is then reduced to the classes of its bitwise-identical
     rows.  With r one row per class and D the class sizes, B = S^T B[r, r] S
@@ -236,15 +246,20 @@ def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
     by_size = {}
     for c in _components(M):
         by_size.setdefault(len(c), []).append(c)
+    flat, n = M.ravel(), len(M)
+
+    def gather(idx):  # the (blocks, k, k) stack M[idx[b, i], idx[b, j]]
+        return flat.take(idx[:, :, None] * n + idx[:, None, :])
+
     # one (blocks, size) index array and (blocks, size, size) stack per size
     supports = [np.array(cs) for cs in by_size.values()]
-    stacks = [M[idx[:, :, None], idx[:, None, :]] for idx in supports]
-    entries = np.concatenate([B.ravel() for B in stacks])
-    mirrors = np.concatenate([B.swapaxes(-1, -2).ravel() for B in stacks])
-    scale = float(abs(entries).max())
+    stacks = [gather(idx) for idx in supports]
+    # np.max, not the builtin max, so that a NaN in any stack propagates
+    scale = float(np.max([abs(B).max() for B in stacks]))
     if not np.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    if abs(entries - mirrors.conj()).max() > 1e-12 * max(1.0, scale):
+    asymmetry = np.max([abs(B - B.swapaxes(-1, -2).conj()).max() for B in stacks])
+    if asymmetry > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not Hermitian")
     block_rows = np.concatenate([np.full(len(idx), idx.shape[1]) for idx in supports])
     block = np.repeat(np.arange(len(block_rows)), block_rows)
@@ -258,7 +273,7 @@ def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
     for q in np.unique(quotient_rows):
         r = rows[quotient_rows == q].reshape(-1, q)
         s = root[quotient_rows == q].reshape(-1, q)
-        C = M[r[:, :, None], r[:, None, :]] * s[:, :, None] * s[:, None, :]
+        C = gather(r) * s[:, :, None] * s[:, None, :]
         spectra.append(np.linalg.eigvalsh(C).ravel())
     spectra = np.concatenate(spectra)
     return float(spectra.min()), float(spectra.max())

@@ -17,7 +17,10 @@ cap.
 Dense operators are built by two kernels over ``combinatorics.digit_table``:
 ``digit_sum_operator`` gives sum_k v_k |R_k><R_k| (states, the D-symmetrizer,
 ``oracle.witness_matrix``) and ``product_powers`` the tensor powers
-phi^(tensor N) (product states, ``oracle.ensemble_matrix``).
+phi^(tensor N) (product states, ``oracle.ensemble_matrix``).  Rows of equal
+digit sum are equal in sum_k v_k |R_k><R_k|, so ``digit_sum_operator`` builds
+its N(d-1)+1 distinct rows and writes the matrix in one row gather; no
+d**N x d**N temporary is made.
 """
 
 from __future__ import annotations
@@ -112,13 +115,16 @@ def dual_restricted_dicke(N: int, d: int, k: int) -> np.ndarray:
 
 def digit_sum_operator(N: int, d: int, values) -> np.ndarray:
     """Dense real sum_k values[k] |R_k><R_k| over the restricted Dicke vectors
-    R_k: entry (i, j) is values[k] when both digit sums are k, else 0."""
+    R_k: entry (i, j) is values[k] when both digit sums are k, else +0.0
+    (also when values[k] is negative)."""
     check_dense_cap(N, d)
     values = np.asarray(values, dtype=float)
     if values.shape != (N * (d - 1) + 1,):
         raise ValueError(f"expected one value per digit sum 0..{N * (d - 1)}, got {values.shape}")
     sums = digit_sums(N, d)
-    return np.multiply(sums[:, None] == sums[None, :], values[sums][:, None])
+    # rows[k] is every row of digit sum k
+    rows = np.where(sums == np.arange(len(values))[:, None], values[:, None], 0.0)
+    return rows.take(sums, axis=0)
 
 
 def product_powers(N: int, d: int, phis) -> np.ndarray:

@@ -12,6 +12,11 @@ PPT_ENTANGLED_P = tuple(
     float(Fraction(x)) for x in ("1", "1/4", "1/8", "1/9", "1/8", "1/4", "1")
 )
 
+# (d, N) of the dense-verify benchmark mix, d^N from 64 to 1024
+DENSE_VERIFY_MIX = [
+    (2, 6), (4, 3), (3, 4), (2, 7), (3, 5), (2, 8), (4, 4), (2, 9), (2, 10), (4, 5)
+]
+
 
 @pytest.fixture
 def ppt_entangled_spec() -> StateSpec:

@@ -13,12 +13,13 @@ from dsym.decompose import (
     TOP,
     NotSeparableError,
     SeparableEnsemble,
+    ensemble_from_measure,
     ensemble_from_verdict,
     geometric_ensemble,
     reconstruction_error,
     separable_ensemble,
 )
-from dsym.moment import RecoveryError, is_separable
+from dsym.moment import MeasureAtoms, RecoveryError, is_separable
 from dsym.oracle import ensemble_matrix, permutation_operator
 from dsym.states import StateSpec, build_state
 
@@ -202,6 +203,45 @@ def test_normalized_rejects_zero_and_negative_weights():
         SeparableEnsemble(2, 2, ((0.0, vec), (1.0, np.zeros(2)))).normalized()
     with pytest.raises(ValueError, match="weight -1"):
         SeparableEnsemble(2, 2, ((2.0, vec), (-1.0, "top"))).normalized()
+
+
+@pytest.mark.parametrize(
+    "N,d,atoms,top",
+    [
+        (400, 2, None, 0.0),  # far_atom_p(400): one atom near t = 5
+        (6, 3, ((0.0, 0.7), (0.4, 1.3), (2.5, 0.2)), 0.6),
+        (5, 4, ((0.9, 2.0), (1e-3, 0.5), (7.0, 1e-4)), 0.0),
+    ],
+)
+def test_normalized_measure_ensemble_has_one_weight_per_atom(N, d, atoms, top):
+    # each Fourier vector of an atom t has squared norm sum_{i<d} t^i, so
+    # the atom's terms share one log-weight and get bitwise-equal weights
+    if atoms is None:
+        spec = StateSpec(N, d, far_atom_p(N))
+        measure = is_separable(spec).atoms
+    else:
+        measure = MeasureAtoms(atoms, top, 0.0)
+        spec = StateSpec(N, d, tuple(measure.reproduced(N * (d - 1))))
+    ens = ensemble_from_measure(spec, measure, normalize=True)
+    L = N * (d - 1) + 1
+    start = 0
+    for t, _ in measure.atoms:
+        count = 1 if t == 0.0 else L
+        weights = {w for w, _ in ens.terms[start : start + count]}
+        assert len(weights) == 1, t
+        start += count
+    assert len(ens.terms) == start + (measure.top_mass > 0)
+    total = np.array([w for w, _ in ens.terms])
+    assert abs(total.sum() - 1) <= 4 * len(total) * np.finfo(float).eps
+    for _, phi in ens.terms:
+        if not isinstance(phi, str):
+            assert abs(np.linalg.norm(phi) - 1) <= 4 * np.finfo(float).eps
+    # the same convex combination as the term-by-term normalization
+    unnormalized = ensemble_from_measure(spec, measure).normalized()
+    np.testing.assert_allclose(total, [w for w, _ in unnormalized.terms], rtol=1e-12)
+    if d**N <= 4096:
+        rho = build_state(spec, normalize=True)
+        np.testing.assert_allclose(ensemble_matrix(ens), rho, atol=1e-12 * np.abs(rho).max())
 
 
 def _random_measure_spec(rng, N, d):

@@ -1,11 +1,13 @@
 """Production modules build no dense d**N-sized arrays: only `states` and
-`oracle` do, and the package's top-level names are the production API."""
+`oracle` do, and the package's top-level names are the production API.  The
+dense layer's cached arrays are read-only."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 
+import numpy as np
 import pytest
 
 import dsym
@@ -50,3 +52,32 @@ def test_top_level_names_hold_no_dense_builder():
     assert not set(dsym.__all__) & set(STATES_BUILDERS)
     from_oracle = [n for n in dsym.__all__ if getattr(dsym, n).__module__ == "dsym.oracle"]
     assert not from_oracle
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+
+
+@pytest.mark.parametrize("name", ["dsym.combinatorics", "dsym.states"])
+def test_cached_arrays_are_read_only(name):
+    # a cached array is shared by every later call: one write through it
+    # would corrupt every state built after
+    module = importlib.import_module(name)
+    cached = {k: f for k, f in vars(module).items() if hasattr(f, "cache_info")}
+    expected = {
+        "dsym.combinatorics": {"digit_table", "digit_sums", "composition_counts"},
+        "dsym.states": {"_multiset_orbits"},
+    }[name]
+    assert expected <= set(cached)
+    for key, f in cached.items():
+        if f.__module__ != name:
+            continue  # imported from another module and checked there
+        for N, d in [(3, 2), (2, 4)]:
+            for array in _arrays(f(N, d)):
+                assert not array.flags.writeable, key
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0

@@ -25,7 +25,7 @@ from dsym.oracle import (
 from dsym.ppt import PsdCheck, is_m_ppt
 from dsym.states import StateSpec, build_state, sigma_z
 
-from conftest import group_sums, random_spec
+from conftest import DENSE_VERIFY_MIX, group_sums, random_spec
 
 
 def basis_matrix_unit(i, j, dim):
@@ -320,6 +320,9 @@ def test_split_spectrum_edge_cases():
     assert _extreme_eigenvalues(np.zeros((5, 5))) == (0.0, 0.0)
     with pytest.raises(ValueError):
         min_eigenvalue(np.ones((2, 3)))
+    for M in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):
+        with pytest.raises(ValueError, match="matrix is empty"):
+            min_eigenvalue(M)
 
 
 def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
@@ -352,12 +355,6 @@ def test_one_sided_entry_joins_its_two_indices():
         M[i, j] = 1e-14
         assert sorted(c.tolist() for c in _components(M)) == [[0, 2], [1]]
         assert _extreme_eigenvalues(M) == pytest.approx((1.0, 3.0), abs=1e-12)
-
-
-# (d, N) of the dense-verify benchmark mix, d^N from 64 to 1024
-DENSE_VERIFY_MIX = [
-    (2, 6), (4, 3), (3, 4), (2, 7), (3, 5), (2, 8), (4, 4), (2, 9), (2, 10), (4, 5)
-]
 
 
 def test_dense_ppt_check_matches_full_spectrum_on_dense_verify_mix():
@@ -549,6 +546,11 @@ def test_row_classes_keep_colliding_rows_apart():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_are_rejected(bad, ppt_entangled_spec):
+    # in the last two, the largest finite entry sits in the stack of the
+    # 2-row block and the bad one in the later stack of the 3-row block: a
+    # builtin max over the per-stack maxima would keep 1e3 and drop a NaN
+    later = [[1e3, 1, 0, 0, 0], [1, 1e3, 0, 0, 0], [0, 0, 1, bad, 0], [0, 0, bad, 1, 1], [0, 0, 0, 1, 1]]
+    assert [len(c) for c in _components(np.nan_to_num(later, nan=1.0))] == [2, 3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for M in (
@@ -556,6 +558,8 @@ def test_non_finite_entries_are_rejected(bad, ppt_entangled_spec):
             [[bad]],
             [[1.0, 0.0], [0.0, bad]],
             [[1.0, complex(0.0, bad)], [complex(0.0, -bad), 1.0]],
+            later,
+            np.array(later, dtype=complex),
         ):
             with pytest.raises(ValueError, match="non-finite"):
                 min_eigenvalue(np.array(M))
@@ -570,3 +574,24 @@ def test_non_finite_entries_are_rejected(bad, ppt_entangled_spec):
             bad_rho[i, j] = complex(bad, 0.0)
             with pytest.raises(ValueError, match="non-finite"):
                 dense_ppt_check(bad_rho, (1, 0, 0), 3)
+
+
+def test_extreme_eigenvalues_of_non_contiguous_matrices():
+    # the stacks are gathered from M.ravel(), which copies a non-contiguous
+    # M in C order, so every layout of one matrix gives the same extremes
+    rng = np.random.default_rng(84)
+    rho = build_state(random_spec(rng, 5, 3))
+    pt = partial_transpose(rho, (1, 0, 1, 0, 0), 3)
+    planted, _ = _planted(rng, [3, 0, 5, -6, 2, 1], complex)
+    for M in (pt, planted):
+        expected = _extreme_eigenvalues(M)
+        for layout in (np.asfortranarray(M), np.kron(M, np.ones((2, 2)))[::2, ::2]):
+            assert not layout.flags.c_contiguous
+            np.testing.assert_array_equal(layout, M)
+            assert _extreme_eigenvalues(layout) == expected
+        # M.T is the transpose itself: real symmetric, or the conjugate
+        # matrix, whose spectrum is the same
+        transpose = _extreme_eigenvalues(M.T)
+        assert transpose == _extreme_eigenvalues(np.ascontiguousarray(M.T))
+        _assert_extremes_match(np.linalg.eigvalsh(M), *transpose)
+    assert _extreme_eigenvalues(pt.T) == _extreme_eigenvalues(pt)

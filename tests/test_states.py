@@ -5,18 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from dsym.combinatorics import count_compositions, tuple_to_index
+from dsym import oracle
+from dsym.combinatorics import composition_counts, count_compositions, digit_sums, tuple_to_index
 from dsym.states import (
     DenseCapExceeded,
     StateSpec,
     build_state,
     d_symmetrizer,
+    digit_sum_operator,
     dual_restricted_dicke,
     restricted_dicke_vector,
     sigma_z,
     symmetrizer,
     top_product_state,
 )
+from dsym.witnesses import WitnessSpec, family_u_length, family_v_length
+
+from conftest import DENSE_VERIFY_MIX
 
 
 def test_spec_validation():
@@ -257,3 +262,45 @@ def test_product_states_stay_complex():
     assert product_powers(2, 3, [[1.0, 0.5, 0.25]]).dtype == np.complex128
     assert sigma_z(2, 3, 0.4).dtype == np.complex128
     assert ensemble_matrix(geometric_ensemble(2, 3, 0.4)).dtype == np.complex128
+
+
+def _broadcast_operator(N, d, values):
+    """The full-matrix formula: a d**N x d**N compare times a broadcast column."""
+    sums = digit_sums(N, d)
+    return np.multiply(sums[:, None] == sums[None, :], np.asarray(values)[sums][:, None])
+
+
+def _assert_equal_in_value(op, N, d, values):
+    ref = _broadcast_operator(N, d, values)
+    assert op.dtype == np.float64 and op.flags.writeable
+    np.testing.assert_array_equal(op, ref)  # -0.0 == 0.0 here
+    # off the class squares every entry is +0.0, whatever the class's sign
+    sums = digit_sums(N, d)
+    assert not np.signbit(op[sums[:, None] != sums[None, :]]).any()
+
+
+@pytest.mark.parametrize("d,N", DENSE_VERIFY_MIX)
+def test_digit_sum_operator_matches_the_broadcast_formula(monkeypatch, d, N):
+    rng = np.random.default_rng(N * 10 + d)
+    n = N * (d - 1)
+    values = rng.uniform(0.0, 1.0, n + 1)
+    with_zeros = values.copy()
+    with_zeros[rng.choice(n + 1, size=(n + 1) // 3, replace=False)] = 0.0
+    for v in (values, with_zeros, -values):
+        _assert_equal_in_value(digit_sum_operator(N, d, v), N, d, v)
+    _assert_equal_in_value(d_symmetrizer(N, d), N, d, 1 / composition_counts(N, d))
+    # witness weights: the convolution of complex coefficients with their
+    # conjugates has negative entries, whose rows held -0.0 off the class
+    seen = []
+
+    def spy(N, d, values):
+        seen.append(np.array(values))
+        return digit_sum_operator(N, d, values)
+
+    monkeypatch.setattr(oracle, "digit_sum_operator", spy)
+    for family, length in [("V", family_v_length(N, d)), ("U", family_u_length(N, d))]:
+        # alternating signs make the degree-1 weight negative
+        coeffs = np.resize([1.0, -1.0], length) + 0.1j * rng.normal(size=length)
+        W = oracle.witness_matrix(WitnessSpec(family, tuple(coeffs), N, d))
+        assert (seen[-1] < 0).any()
+        _assert_equal_in_value(W, N, d, seen[-1])
