@@ -10,23 +10,19 @@ states of ``states.build_state`` give real partial transposes, eigensolved in
 real symmetric arithmetic, while complex inputs (product states, separable
 ensembles) stay complex.  Permutation operators are real.
 
-A spectrum is taken one connected component of the matrix's nonzero
-pattern at a time, and each component on its quotient by identical rows,
-with both found from the matrix alone (no digit sums, no Hankel blocks), so
-the oracle's verdict stays independent of `ppt`.  Rows i and j of a
-Hermitian block that are equal make e_i - e_j a null vector, and the rest
-of the block's spectrum is that of the quotient D^1/2 B[r, r] D^1/2 on one
-row r per class of equal rows, with D the class sizes.  When every p_k > 0,
-the components of a diagonal D-symmetric state's partial transpose are its
-digit-sum offset blocks, whose index sets ``offset_supports`` gives (zero
-coefficients split them further).  A block's entries are p[a_i + b_j], and
-b - a is fixed on it, so its rows depend on a alone: each quotient has at
-most min(w, N - w)(d - 1) + 1 rows for w transposed parties.  On 2^10 with
-w = 5 the largest eigensolve is 6 x 6, not 252 x 252.  The blocks of one
-size are gathered as one stack by a single ``take`` on flat indices of the
-matrix, and the finite and Hermitian tests run stack by stack: past its
-nonzero pattern, no step reads the whole d**N x d**N matrix (``ravel``
-copies it once if it is not C-contiguous).
+A spectrum is taken from one quotient of the matrix by its equal rows,
+found from the matrix alone (no digit sums, no Hankel blocks), so the
+oracle's verdict stays independent of `ppt`.  Equal rows i and j of a
+Hermitian matrix make e_i - e_j a null vector, and the rest of its spectrum
+is that of D^1/2 M[r, r] D^1/2 on one row r per class of equal rows, with D
+the class sizes.  With a and b an index's digit sums over the transposed
+and the kept parties, the partial transpose of a diagonal D-symmetric state
+has entry p[a_i + b_j] where b_i - a_i = b_j - a_j and 0 elsewhere, so its
+row i depends on (a_i, b_i) alone: for w transposed parties the quotient
+has at most (w(d - 1) + 1)((N - w)(d - 1) + 1) rows.  On 2^10 with w = 5
+one 36 x 36 eigensolve replaces the 1024 x 1024 one.  The finite and
+Hermitian tests cover every entry, yet past the row hash and the row
+compare they read only the distinct rows.
 
 The dense forms of the production certificates, for tests, are
 ``witness_matrix`` (a ``WitnessSpec``) and ``ensemble_matrix`` (a
@@ -35,6 +31,7 @@ The dense forms of the production certificates, for tests, are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,157 +133,74 @@ def ensemble_matrix(e: SeparableEnsemble) -> np.ndarray:
     return (vecs.T * weights) @ vecs.conj()
 
 
-def _components(M: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a square matrix's nonzero
-    pattern.  An entry whose mirror is zero still joins its two indices.
-
-    An index with no off-diagonal nonzero in its row is a set of its own.
-    Every other set is grown from its lowest unassigned index by OR-ing the
-    pattern rows of the indices it reached last, until none is new.  Each
-    set then holds every nonzero of its rows, so when the sets are disjoint
-    they are the components and hold every nonzero of M.  Only an entry
-    whose mirror is zero can make two sets overlap (its row reaches an index
-    whose row does not reach back); then the sets are grown again on the
-    pattern read from both triangles.  An empty matrix raises ValueError.
-    """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not len(M):
-        raise ValueError("matrix is empty")
-    pattern = M != 0
-    np.fill_diagonal(pattern, False)
-    components = _row_closures(pattern)
-    if sum(map(len, components)) > len(M):
-        components = _row_closures(pattern | pattern.T)
-    return components
-
-
-def _row_closures(pattern: np.ndarray) -> list[np.ndarray]:
-    """Row-closed index sets of an off-diagonal pattern (diagonal False)."""
-    seen = ~pattern.any(axis=1)
-    components = list(seen.nonzero()[0][:, None])
-    while not seen[seed := seen.argmin()]:
-        reach = new = pattern[seed].copy()
-        reach[seed] = True
-        while np.count_nonzero(new):
-            new = np.logical_or.reduce(pattern[new]) > reach  # reached for the first time
-            reach = reach | new
-        seen |= reach
-        components.append(reach.nonzero()[0])
-    return components
-
-
-def _row_hashes(bits: np.ndarray) -> np.ndarray:
-    """Hash mod 2^64 of each row of a (rows, words) uint64 array.
-
-    Each word is folded (its high half xor-ed onto its low half, a
-    bijection) and weighted by splitmix64 of its column number.  Folding
-    keeps a difference in the top bits alone, such as a sign, from
-    vanishing in the sum.
-    """
-    z = np.arange(1, bits.shape[1] + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (bits ^ (bits >> np.uint64(32))) @ (z ^ (z >> np.uint64(31)))
-
-
-def _row_classes(stacks: list[np.ndarray], block: np.ndarray) -> np.ndarray:
-    """Class representative of every row of the (blocks, k, k) stacks, read
-    in order as one flat list of rows with block numbers `block`.
-
-    A row's representative is the lowest row of its block with the same
-    hash if one compare finds their bits equal, else the row itself.  So a
-    class only ever holds bitwise-identical rows; a hash collision can only
-    leave equal rows in separate classes.
-    """
-    bits = [
-        np.ascontiguousarray(B, dtype=np.result_type(B, np.float64))
-        .view(np.uint64)
-        .reshape(B.shape[0] * B.shape[1], -1)
-        for B in stacks
-    ]
-    hashes = np.concatenate([_row_hashes(b) for b in bits])
-    # rows lie block by block, so a stable sort by hash keeps the rows of one
-    # block and hash together, lowest first
-    order = hashes.argsort(kind="stable")
-    run_start = np.ones(len(order), dtype=bool)
-    run_start[1:] = (np.diff(block[order]) != 0) | (np.diff(hashes[order]) != 0)
-    first = np.maximum.accumulate(np.where(run_start, np.arange(len(order)), 0))
-    rep = np.empty_like(order)
-    rep[order] = order[first]
-    start = 0
-    for b in bits:
-        local = rep[start : start + len(b)] - start
-        same = (b == b[local]).all(axis=1)
-        rep[start : start + len(b)] = np.where(same, local, np.arange(len(b))) + start
-        start += len(b)
-    return rep
+@lru_cache(maxsize=None)
+def _probe(n: int) -> np.ndarray:
+    """n fixed random weights on [1, 2), read-only: the row hash of an
+    n x n matrix is its product with them."""
+    probe = np.random.default_rng(0x5EED).uniform(1.0, 2.0, n)
+    probe.flags.writeable = False
+    return probe
 
 
 def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix.
+    """Smallest and largest eigenvalue of a Hermitian matrix, from one
+    eigensolve of its quotient by equal rows.
 
-    The matrix is the direct sum of its diagonal blocks on the components of
-    its nonzero pattern, so its spectrum is theirs.  The blocks of one size
-    are gathered as one (blocks, size, size) stack by a single ``take`` on
-    flat indices of ``M.ravel()``.  Every nonzero entry lies in a block, so
-    testing each stack for non-finite entries, and for Hermiticity to
-    1e-12 * max(1, max|M|), tests the whole matrix.
+    If rows i and j of a Hermitian M are equal, so are columns i and j.
+    With one row r per class of equal rows, A = M[r, r] and S the 0/1
+    class-membership matrix, M = S^T A S and S S^T = D, the class sizes.
+    The spectrum of M is therefore that of C = D^1/2 A D^1/2, plus an
+    exact 0 when a class has two rows i and j: e_i - e_j is a null vector.
 
-    Each block B is then reduced to the classes of its bitwise-identical
-    rows.  With r one row per class and D the class sizes, B = S^T B[r, r] S
-    for the 0/1 class-membership matrix S (equal rows i and j of a
-    Hermitian matrix make columns i and j equal too), and S S^T = D.  The
-    spectrum of B is therefore that of C = D^1/2 B[r, r] D^1/2, plus an
-    exact 0 whenever a class has two rows i and j: e_i - e_j is a null
-    vector.  Quotients of equal size are stacked into one eigvalsh call.
+    Classes are named by a row hash (the product with ``_probe``) and
+    confirmed by one exact compare; a row unlike its candidate is a class
+    of its own, so a hash miss or collision costs quotient size, never
+    correctness.  Every row of M equals one of R = M[r], so the finite test
+    on R tests every entry; and when the columns of R are equal within
+    each class too, M - M^H repeats the entries of A - A^H, so the
+    Hermitian test to 1e-12 * max(1, max|M|) runs on A, else on M.
     """
-    M = np.asarray(M)
-    by_size = {}
-    for c in _components(M):
-        by_size.setdefault(len(c), []).append(c)
-    flat, n = M.ravel(), len(M)
-
-    def gather(idx):  # the (blocks, k, k) stack M[idx[b, i], idx[b, j]]
-        return flat.take(idx[:, :, None] * n + idx[:, None, :])
-
-    # one (blocks, size) index array and (blocks, size, size) stack per size
-    supports = [np.array(cs) for cs in by_size.values()]
-    stacks = [gather(idx) for idx in supports]
-    # np.max, not the builtin max, so that a NaN in any stack propagates
-    scale = float(np.max([abs(B).max() for B in stacks]))
+    M = np.ascontiguousarray(M)  # one layout, so one row hash for every layout
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    n = len(M)
+    if not n:
+        raise ValueError("matrix is empty")
+    # einsum sums every row in one order; a BLAS gemv runs its last rows
+    # through another kernel, so equal rows there would hash apart
+    with np.errstate(invalid="ignore", over="ignore"):  # inf rows hash to nan
+        h = np.einsum("ij,j->i", M, _probe(n))
+    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+    rep = first[inverse]
+    # compared in slices of ~2^16 entries: no second n x n array, and faster
+    step = max(1, 2**16 // n)
+    same = [(M[i : i + step] == M[rep[i : i + step]]).all(axis=1) for i in range(0, n, step)]
+    rep = np.where(np.concatenate(same), rep, np.arange(n))
+    reps, cls, sizes = np.unique(rep, return_inverse=True, return_counts=True)
+    R = M[reps]
+    scale = float(abs(R).max())
     if not np.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    asymmetry = np.max([abs(B - B.swapaxes(-1, -2).conj()).max() for B in stacks])
-    if asymmetry > 1e-12 * max(1.0, scale):
+    A = R[:, reps]
+    H = A if (R == A[:, cls]).all() else M
+    if abs(H - H.conj().T).max() > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not Hermitian")
-    block_rows = np.concatenate([np.full(len(idx), idx.shape[1]) for idx in supports])
-    block = np.repeat(np.arange(len(block_rows)), block_rows)
-    rep = _row_classes(stacks, block)
-    is_rep = rep == np.arange(len(rep))
-    root = np.sqrt(np.bincount(rep, minlength=len(rep))[is_rep])
-    rows = np.concatenate([idx.ravel() for idx in supports])[is_rep]
-    block = block[is_rep]
-    quotient_rows = np.bincount(block)[block]  # per class, the size of its block's quotient
-    spectra = [np.zeros(int(not is_rep.all()))]  # the null vectors' 0, if any
-    for q in np.unique(quotient_rows):
-        r = rows[quotient_rows == q].reshape(-1, q)
-        s = root[quotient_rows == q].reshape(-1, q)
-        C = gather(r) * s[:, :, None] * s[:, None, :]
-        spectra.append(np.linalg.eigvalsh(C).ravel())
-    spectra = np.concatenate(spectra)
-    return float(spectra.min()), float(spectra.max())
+    root = np.sqrt(sizes)
+    spectrum = np.linalg.eigvalsh(A * root[:, None] * root[None, :])
+    if len(reps) < n:
+        spectrum = np.append(spectrum, 0.0)  # the null vectors' eigenvalue
+    return float(spectrum.min()), float(spectrum.max())
 
 
 def min_eigenvalue(M: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, from its pattern's blocks."""
+    """Smallest eigenvalue of a Hermitian matrix, from its quotient by
+    equal rows."""
     return _extreme_eigenvalues(M)[0]
 
 
 def dense_ppt_check(rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL):
-    """Partial-transpose PSD status of a dense state from the spectrum of
-    its partial transpose, block by block: (status, lam_min, lam_max).
+    """Partial-transpose PSD status of a dense state from the extremes of
+    its partial transpose's spectrum: (status, lam_min, lam_max).
     Raises ValueError if the partial transpose is not Hermitian."""
     lam_min, lam_max = _extreme_eigenvalues(partial_transpose(rho, mask, d))
     return PsdCheck.from_extremes(lam_min, lam_max, tol).status, lam_min, lam_max

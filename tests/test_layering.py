@@ -62,22 +62,23 @@ def _arrays(value):
             yield from _arrays(item)
 
 
-@pytest.mark.parametrize("name", ["dsym.combinatorics", "dsym.states"])
+@pytest.mark.parametrize("name", ["dsym.combinatorics", "dsym.states", "dsym.oracle"])
 def test_cached_arrays_are_read_only(name):
     # a cached array is shared by every later call: one write through it
     # would corrupt every state built after
     module = importlib.import_module(name)
     cached = {k: f for k, f in vars(module).items() if hasattr(f, "cache_info")}
-    expected = {
-        "dsym.combinatorics": {"digit_table", "digit_sums", "composition_counts"},
-        "dsym.states": {"_multiset_orbits"},
+    expected, calls = {
+        "dsym.combinatorics": ({"digit_table", "digit_sums", "composition_counts"}, [(3, 2), (2, 4)]),
+        "dsym.states": ({"_multiset_orbits"}, [(3, 2), (2, 4)]),
+        "dsym.oracle": ({"_probe"}, [(8,), (16,)]),  # one argument: the row count
     }[name]
     assert expected <= set(cached)
     for key, f in cached.items():
         if f.__module__ != name:
             continue  # imported from another module and checked there
-        for N, d in [(3, 2), (2, 4)]:
-            for array in _arrays(f(N, d)):
+        for args in calls:
+            for array in _arrays(f(*args)):
                 assert not array.flags.writeable, key
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0

@@ -2,17 +2,14 @@
 
 import itertools
 import warnings
-from math import comb
 
 import numpy as np
 import pytest
 
+from dsym import oracle
 from dsym.combinatorics import tuple_to_index
 from dsym.oracle import (
-    _components,
     _extreme_eigenvalues,
-    _row_classes,
-    _row_hashes,
     check_d_symmetry,
     check_mask_equivalence,
     dense_ppt_check,
@@ -237,11 +234,11 @@ def test_dense_ppt_check_eigensolves_real_states_in_real_arithmetic(
     assert real and seen
     assert {dtype for dtype, _ in real} == {np.dtype(np.float64)}
     assert {dtype for dtype, _ in seen} == {np.dtype(np.complex128)}
-    # each eigensolve sees the quotient of a block by its identical rows:
-    # at most min(w, N - w)(d - 1) + 1 = 3 rows, never a whole 7-row offset
-    # block or the 27 x 27 matrix
-    assert max(map(len, offset_supports(3, 3, 1))) == 7
-    assert max(rows for _, rows in real + seen) <= 3
+    # one eigensolve per check, on the quotient by equal rows: row i
+    # depends only on its digit sums (a_i, b_i), so (w(d - 1) + 1)
+    # ((N - w)(d - 1) + 1) = 3 * 5 = 15 rows, never the 27 x 27 matrix
+    assert min(ppt_entangled_spec.p) > 0
+    assert [rows for _, rows in real] == [rows for _, rows in seen] == [15]
 
 
 def _real_and_complex_agree(spec, mask):
@@ -307,15 +304,13 @@ def test_split_spectrum_matches_full_eigvalsh_on_planted_blocks(dtype):
     rng = np.random.default_rng(80)
     for _ in range(40):
         sizes = rng.choice([0, 1, 1, 2, 3, 5, 8, -4, -9], size=int(rng.integers(1, 9)))
-        M, planted = _planted(rng, sizes, dtype)
-        assert {frozenset(c.tolist()) for c in _components(M)} == planted
+        M, _ = _planted(rng, sizes, dtype)
         _assert_extremes_match(np.linalg.eigvalsh(M), *_extreme_eigenvalues(M))
 
 
 def test_split_spectrum_edge_cases():
     for M in ([[2.5]], [[0.0]], [[-1.0 + 0j]], np.zeros((5, 5)), np.diag([3.0, -1.0, 0.0])):
         M = np.asarray(M)
-        assert len(_components(M)) == len(M)
         _assert_extremes_match(np.linalg.eigvalsh(M), *_extreme_eigenvalues(M))
     assert _extreme_eigenvalues(np.zeros((5, 5))) == (0.0, 0.0)
     with pytest.raises(ValueError):
@@ -353,7 +348,6 @@ def test_one_sided_entry_joins_its_two_indices():
     for i, j in [(2, 0), (0, 2)]:
         M = np.diag([1.0, 2.0, 3.0])
         M[i, j] = 1e-14
-        assert sorted(c.tolist() for c in _components(M)) == [[0, 2], [1]]
         assert _extreme_eigenvalues(M) == pytest.approx((1.0, 3.0), abs=1e-12)
 
 
@@ -376,23 +370,6 @@ def test_dense_ppt_check_matches_full_spectrum_on_dense_verify_mix():
                 _assert_extremes_match(ev, lam_min, lam_max)
 
 
-def test_components_are_the_offset_blocks():
-    # the oracle's split, found from the matrix alone, is the offset
-    # supports of `offset_supports` whenever every p_k > 0
-    rng = np.random.default_rng(82)
-    for N, d in [(2, 2), (3, 2), (4, 2), (5, 2), (7, 2), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]:
-        spec = random_spec(rng, N, d)
-        assert min(spec.p) > 0
-        rho = build_state(spec)
-        for m in range(1, N):
-            pt = partial_transpose(rho, (1,) * m + (0,) * (N - m), d)
-            found = {frozenset(c.tolist()) for c in _components(pt)}
-            supports = {frozenset(idx.tolist()) for idx in offset_supports(N, d, m)}
-            assert found == supports - {frozenset()}, (N, d, m)
-            if d == 2:
-                assert sorted(map(len, found)) == sorted(comb(N, k) for k in range(N + 1))
-
-
 def _spy_eigvalsh_rows(monkeypatch):
     """Record the row count of every eigvalsh call from now on."""
     rows = []
@@ -407,9 +384,10 @@ def _spy_eigvalsh_rows(monkeypatch):
 
 
 def test_dense_ppt_check_eigensolves_quotients_on_dense_verify_mix(monkeypatch):
-    # a block's rows depend only on the digit sum a of the transposed
-    # parties, and b - a is fixed on it, so it has at most
-    # min(w, N - w)(d - 1) + 1 distinct rows, also when zeros in p split it
+    # row i of the partial transpose depends only on the digit sums
+    # (a_i, b_i) of the transposed and the kept parties, so the one
+    # eigensolve has at most (w(d - 1) + 1)((N - w)(d - 1) + 1) rows; with
+    # every p_k > 0 (and p random) the distinct pairs give distinct rows
     rng = np.random.default_rng(83)
     rows = _spy_eigvalsh_rows(monkeypatch)
     for d, N in DENSE_VERIFY_MIX:
@@ -423,7 +401,10 @@ def test_dense_ppt_check_eigensolves_quotients_on_dense_verify_mix(monkeypatch):
                 for mask in (prefix, tuple(int(b) for b in rng.permutation(prefix))):
                     rows.clear()
                     dense_ppt_check(rho, mask, d)
-                    assert rows and max(rows) <= min(w, N - w) * (d - 1) + 1, (d, N, mask)
+                    pairs = (w * (d - 1) + 1) * ((N - w) * (d - 1) + 1)
+                    assert len(rows) == 1 and rows[0] <= pairs, (d, N, mask)
+                    if q is p:
+                        assert rows == [pairs], (d, N, mask)
 
 
 def _quotient_planted(rng, classes, dtype):
@@ -432,8 +413,8 @@ def _quotient_planted(rng, classes, dtype):
     class, some of its entries zero, and S repeats row c of A classes[i][c]
     times.  The first class of each block is a zero row and column of A, so
     its copies are zero rows of the whole matrix.  The last copy of each
-    repeated class gets -0.0 where its classmates have 0.0, which only the
-    bits can tell."""
+    repeated class gets -0.0 where its classmates have 0.0: equal in value,
+    unequal in bits."""
     blocks = []
     for sizes in classes:
         A = rng.normal(size=(len(sizes),) * 2)
@@ -474,8 +455,11 @@ def test_quotient_spectrum_matches_full_eigvalsh_on_planted_classes(monkeypatch,
         ev = np.linalg.eigvalsh(M)
         rows.clear()
         _assert_extremes_match(ev, *_extreme_eigenvalues(M))
-        # at most one row per class, plus one per -0.0 copy
-        assert max(rows) <= max(len(c) + sum(k > 1 for k in c) for c in classes)
+        # one eigensolve with one row per distinct row value: the -0.0
+        # copies join their classes, and the zero rows of every block merge
+        distinct = {tuple(row) for row in M.tolist()}
+        assert rows == [len(distinct)]
+        assert len(distinct) <= sum(map(len, classes))
 
 
 def test_quotient_spectrum_gains_the_null_vectors_zero():
@@ -489,68 +473,65 @@ def test_quotient_spectrum_gains_the_null_vectors_zero():
     assert _extreme_eigenvalues(np.ones((4, 4))) == pytest.approx((0.0, 4.0), abs=1e-12)
 
 
-def _bitwise_classes(stacks):
-    """The lowest row of the same block with the same bytes, row by row,
-    over the stacks' rows read in order."""
-    rep = []
-    for B in (B for stack in stacks for B in stack):
-        keys = [row.tobytes() for row in B]
-        rep += [len(rep) + keys.index(key) for key in keys]
-    return np.array(rep)
+def test_equal_rows_with_unequal_columns_are_not_hermitian(ppt_entangled_spec):
+    # the quotient by equal rows is Hermitian in both cases; only the
+    # columns of the distinct rows, split within a class, show the asymmetry
+    with pytest.raises(ValueError, match="not Hermitian"):
+        min_eigenvalue(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    pt = partial_transpose(build_state(ppt_entangled_spec), (1, 0, 0), 3)
+    assert (pt[0] != pt[1]).any()
+    pt[1] = pt[0]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        min_eigenvalue(pt)
 
 
-def _row_blocks(stacks):
-    return np.repeat(np.arange(sum(map(len, stacks))), [B.shape[1] for s in stacks for B in s])
+@pytest.fixture
+def one_hash(monkeypatch):
+    """A zero probe: every finite row hashes to 0, so every row has row 0 as
+    its candidate, and a row unlike it stays a class of its own."""
+    monkeypatch.setattr(oracle, "_probe", lambda n: np.zeros(n))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_row_classes_are_the_bitwise_identical_rows(dtype):
+def test_colliding_hashes_keep_the_quotient_exact(one_hash, monkeypatch, dtype):
     rng = np.random.default_rng(85)
-    k = 16
-    base = rng.normal(size=k).astype(dtype)
-    base[rng.permutation(k)[: k // 2]] = 0.0
-    # a row, its negation, copies of it with -0.0 at one or two of its
-    # zeros (differences in the top bit alone), and zero rows of each sign
-    variants = [base, -base, np.zeros(k), np.full(k, -0.0)]
-    zeros = np.flatnonzero(base == 0)[:4]
-    for places in [*zeros, *itertools.combinations(zeros, 2)]:
-        row = base.copy()
-        row[np.atleast_1d(places)] = -0.0
-        variants.append(row)
-    stacks = []
-    for size in (k, k // 2):
-        picks = rng.integers(0, len(variants), (3, size))
-        rows = [[variants[i][:size] for i in pick] for pick in picks]
-        stacks.append(np.array(rows).astype(dtype))
-    # the same rows recur in every block, but a class never spans two blocks
-    rep = _row_classes(stacks, _row_blocks(stacks))
-    np.testing.assert_array_equal(rep, _bitwise_classes(stacks))
+    rows = _spy_eigvalsh_rows(monkeypatch)
+    matrices = [
+        _quotient_planted(rng, [[int(k) for k in rng.choice([1, 2, 3, 6], size=4)]] * 3, dtype)
+        for _ in range(10)
+    ]
+    for d, N in DENSE_VERIFY_MIX:
+        if d**N <= 256:
+            spec = random_spec(rng, N, d)
+            pt = partial_transpose(build_state(spec), (1,) * (N // 2) + (0,) * (N - N // 2), d)
+            matrices.append(pt.astype(dtype))
+    for M in matrices:
+        ev = np.linalg.eigvalsh(M)
+        rows.clear()
+        _assert_extremes_match(ev, *_extreme_eigenvalues(M))
+        # the copies of row 0 (in value) merge, every other row stays apart
+        assert rows == [len(M) - int((M == M[0]).all(axis=1).sum()) + 1]
 
 
-def test_row_classes_keep_colliding_rows_apart():
-    # the hash is linear in the folded words, with weight z_j on column j
-    # (read off unit rows), so adding z_b to word a and -z_a to word b of a
-    # row changes its bits but not its hash
-    z = _row_hashes(np.eye(4, dtype=np.uint64))
-    x = np.random.default_rng(86).normal(size=4).view(np.uint64)
-    folded = x ^ (x >> np.uint64(32))
-    folded[:1] += z[1:2]  # array arithmetic wraps mod 2^64 silently
-    folded[1:2] -= z[:1]
-    y = folded ^ (folded >> np.uint64(32))
-    assert (x != y).any()
-    assert _row_hashes(np.array([x, y]))[0] == _row_hashes(np.array([x, y]))[1]
-    stack = np.array([[x, y, x, y]]).view(np.float64)
-    # y is kept apart from x, and so, unmerged, from its own copy
-    np.testing.assert_array_equal(_row_classes([stack], np.zeros(4, dtype=int)), [0, 1, 0, 3])
+def test_colliding_hashes_still_reject_bad_input(one_hash, ppt_entangled_spec):
+    rho = build_state(ppt_entangled_spec)
+    for bad in (np.nan, np.inf):
+        bad_rho = rho.copy()
+        bad_rho[4, 12] = bad_rho[12, 4] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            dense_ppt_check(bad_rho, (1, 0, 0), 3)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        min_eigenvalue(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    bad_rho = rho.copy()
+    bad_rho[0, 26] = 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dense_ppt_check(bad_rho, (0, 1, 1), 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_are_rejected(bad, ppt_entangled_spec):
-    # in the last two, the largest finite entry sits in the stack of the
-    # 2-row block and the bad one in the later stack of the 3-row block: a
-    # builtin max over the per-stack maxima would keep 1e3 and drop a NaN
+    # in the last two, the largest finite entry comes before the bad one
     later = [[1e3, 1, 0, 0, 0], [1, 1e3, 0, 0, 0], [0, 0, 1, bad, 0], [0, 0, bad, 1, 1], [0, 0, 0, 1, 1]]
-    assert [len(c) for c in _components(np.nan_to_num(later, nan=1.0))] == [2, 3]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for M in (
@@ -577,8 +558,8 @@ def test_non_finite_entries_are_rejected(bad, ppt_entangled_spec):
 
 
 def test_extreme_eigenvalues_of_non_contiguous_matrices():
-    # the stacks are gathered from M.ravel(), which copies a non-contiguous
-    # M in C order, so every layout of one matrix gives the same extremes
+    # the row hash is taken on a C-contiguous copy of a non-contiguous M, so
+    # every layout of one matrix gives the same extremes
     rng = np.random.default_rng(84)
     rho = build_state(random_spec(rng, 5, 3))
     pt = partial_transpose(rho, (1, 0, 1, 0, 0), 3)
