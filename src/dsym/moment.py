@@ -27,7 +27,7 @@ from .ppt import (
     PSD,
     PsdCheck,
     hankel,
-    is_psd,
+    psd_checks,
     worst_status,
 )
 from .states import StateSpec
@@ -72,12 +72,21 @@ def _times_power(x, t: float, k: np.ndarray, divide: bool = False) -> np.ndarray
     return out
 
 
-def moment_hankels(p) -> tuple[np.ndarray, np.ndarray]:
-    """The two Hankel matrices (p_{k+l}), size floor(n/2)+1, and (p_{k+l+1}),
-    size floor((n-1)/2)+1, whose joint PSD-ness decides feasibility."""
+def _sequence(p) -> np.ndarray:
+    """p as a float array; raises ValueError unless it is a nonempty 1-d
+    sequence of finite numbers."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("expected a nonempty 1-d coefficient sequence")
+    if not np.isfinite(p).all():
+        raise ValueError("coefficient sequence has non-finite entries")
+    return p
+
+
+def moment_hankels(p) -> tuple[np.ndarray, np.ndarray]:
+    """The two Hankel matrices (p_{k+l}), size floor(n/2)+1, and (p_{k+l+1}),
+    size floor((n-1)/2)+1, whose joint PSD-ness decides feasibility."""
+    p = _sequence(p)
     n = len(p) - 1
     return hankel(p, n // 2 + 1, 0), hankel(p, (n - 1) // 2 + 1, 1)
 
@@ -96,8 +105,9 @@ class MomentCheck:
 def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentCheck:
     """Feasibility of the moment sequence p, deciding each moment Hankel with
     a single eigendecomposition whose lowest eigenvector is kept for the
-    witness."""
-    even, odd = (is_psd(h, tol) for h in moment_hankels(p))
+    witness.  Raises ValueError unless p is a nonempty 1-d sequence of finite
+    numbers."""
+    even, odd = (psd_checks(h[None], tol, vectors=True)[0] for h in moment_hankels(p))
     return MomentCheck(MOMENT_WORDS[worst_status((even.status, odd.status))], even, odd)
 
 
@@ -251,13 +261,11 @@ def recover_atomic_measure(p, tol: float = DEFAULT_RESIDUAL_TOL) -> MeasureAtoms
     possible; then the Gauss rule of q, truncated at the recurrence's
     numerical rank, with the surplus on the top moment.  Neither p_{n-1}/p_0,
     the powers c^k nor an atom's powers t^k need lie in the float range for q
-    and the moments to (see `_times_power`).  Raises RecoveryError
-    naming each rule and why it was rejected (the feasibility verdict is
-    unaffected).
+    and the moments to (see `_times_power`).  Raises ValueError unless p is
+    a nonempty 1-d sequence of finite numbers, and RecoveryError naming each
+    rule and why it was rejected (the feasibility verdict is unaffected).
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or len(p) == 0:
-        raise ValueError("expected a nonempty 1-d coefficient sequence")
+    p = _sequence(p)
     n = len(p) - 1
     scale = float(np.max(np.abs(p), initial=0.0))
     if scale == 0.0:

@@ -10,24 +10,16 @@ partial transpose are verification-only: ``oracle.offset_supports``.
 
 Every Hankel matrix of the package, the blocks P_s here and the two moment
 Hankels of `moment`, is built by `hankel` as a read-only strided view of p,
-exactly symmetric by construction, and decided by one full symmetric
-eigendecomposition with a relative tolerance band (leading principal minors
-are invalid for semidefiniteness), classified by `PsdCheck.from_extremes`.
-The moment Hankels go through `is_psd` one at a time, which also tests the
-symmetry of the matrices its callers pass; the m-PPT blocks of one size are
-decided as stacks of consecutive offsets, one batched eigensolve per stack
-on a view that eigvalsh copies one matrix at a time.  Stacks are decided in
-offset order, and the check stops at the first stack that holds a not-psd
-block: the blocks after it are reported as skipped.  When the blocks of one
-m-PPT check total more than STACK_BYTES and each fits in it, its stacks are
-decided concurrently (eigvalsh releases the GIL) by a thread pool opened for
-that call: one worker per CPU the process may run on, divided by the
-threads each BLAS call takes.  Results are read in offset order up to the
-first failing stack, so where the check stops does not depend on timing;
-the later stacks are cancelled and the pool is joined before the call
-returns or raises.  Smaller checks, blocks larger than STACK_BYTES and a
-BLAS left at its default of one thread per CPU decide the stacks one after
-the other.  dsym has no setting for this: it follows the CPU affinity and
+exactly symmetric by construction.  Every PSD decision of the package is
+made by one kernel, `psd_checks`: one batched symmetric eigensolve of a
+stack of matrices (leading principal minors are invalid for
+semidefiniteness), each classified with a relative tolerance band by
+`PsdCheck.from_extremes`.  `is_psd` is its validated one-matrix entry.  The
+m-PPT blocks of one size are decided as stacks of consecutive offsets, one
+kernel call per stack, in offset order up to the first stack that holds a
+not-psd block (the later blocks are reported as skipped); large checks
+decide their stacks concurrently on a thread pool of their own (see
+`is_m_ppt`).  dsym has no setting for this: it follows the CPU affinity and
 the BLAS thread count of the environment.
 A min eigenvalue below -band is decisive; inside the band, values that are
 too negative to be rounding of an exact zero (below -band/100) are surfaced
@@ -82,9 +74,8 @@ class PsdCheck:
     lam_min: float | None  # None for an empty matrix
     lam_max: float | None
     band: float | None  # lam_min below -band is decisive; None for an empty matrix
-    # unit eigenvector of lam_min from `is_psd`; None when empty and on the
-    # stacked m-PPT block records.  Left out of ==, which cannot compare
-    # arrays; the matrix determines it.
+    # unit eigenvector of lam_min from `psd_checks(vectors=True)`, else None;
+    # left out of ==, which cannot compare arrays (the matrix determines it)
     vec: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @classmethod
@@ -118,23 +109,38 @@ class PsdCheck:
         return self.lam_min + self.band
 
 
+def psd_checks(H: np.ndarray, tol_rel: float, vectors=False, cls=PsdCheck, **fields) -> list:
+    """One `cls` check per matrix of a (k, n, n) stack of real symmetric
+    matrices (a `hankel` view, say) from one batched eigensolve: eigh with
+    `vectors`, keeping each lowest eigenvector in .vec, else eigvalsh.  The
+    one PSD decision site; symmetry is not tested.  `fields` fill a
+    subclass's own fields, k values each.  Raises ValueError on overflow."""
+    rows = [dict(zip(fields, row)) for row in zip(*fields.values())] if fields else [{}] * len(H)
+    if H.shape[-1] == 0:
+        return [cls(PSD, None, None, None, **row) for row in rows]
+    ev, vecs = np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+    vecs = [None] * len(H) if vecs is None else vecs[:, :, 0]
+    return [
+        cls.from_extremes(lo, hi, tol_rel, vec, **row)
+        for lo, hi, vec, row in zip(ev[:, 0].tolist(), ev[:, -1].tolist(), vecs, rows)
+    ]
+
+
 def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL) -> PsdCheck:
-    """PSD status of a real symmetric matrix, with its lowest eigenvector
-    (a witness when the matrix is a moment Hankel), from one
-    eigendecomposition.  Raises ValueError unless M is symmetric to 1e-12 of
-    its largest entry."""
+    """`psd_checks` of one matrix from a caller, with its lowest eigenvector
+    (a witness when the matrix is a moment Hankel).  Raises ValueError unless
+    M is square, finite and symmetric to 1e-12 of its largest entry."""
     M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return PsdCheck(PSD, None, None, None)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
     # one temporary, the size of M, holds |M - M^T| and then |M|
     diff = np.subtract(M, M.T)
-    asym = np.abs(diff, out=diff).max()
-    if asym > 1e-12 * max(1.0, np.abs(M, out=diff).max()):
+    asym = np.abs(diff, out=diff).max(initial=0.0)
+    if asym > 1e-12 * max(1.0, np.abs(M, out=diff).max(initial=0.0)):
         raise ValueError("matrix is not symmetric")
-    ev, vecs = np.linalg.eigh(M)
-    return PsdCheck.from_extremes(float(ev[0]), float(ev[-1]), tol_rel, vecs[:, 0])
+    return psd_checks(M[None], tol_rel, vectors=True)[0]
 
 
 def _cpus() -> int:
@@ -263,20 +269,17 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     For N = 2m the blocks s = 0 and s = 1 suffice; for 2m < N the blocks
     s = 0..(N-2m)(d-1) do (every other block is a principal submatrix of one
     of these).  Blocks of one size are decided in stacks of consecutive
-    offsets holding at most STACK_BYTES of entries, one eigvalsh call per
-    stack on a read-only view of p; batched LAPACK runs the same routine on
-    each matrix, so the records equal per-block eigvalsh decisions.  Stacks
-    are decided in offset order up to the first that holds a not-psd block,
-    which settles the verdict; every block after that stack gets a record
-    with status "skipped" and no eigenvalues, band or margin.  When the
-    blocks total more than STACK_BYTES and each fits in it, the stacks are
-    decided concurrently on the CPUs that BLAS leaves free (see the module
-    docstring), one stack per worker thread at a time, so STACK_BYTES sets
-    the granularity of the workers' work; the pool is the call's own, stops
-    at the first failing stack or error, and has ended when the call returns
-    or raises.  Records come back in offset order either way, with the same
-    bits and the same skipped blocks.  There is no setting for this.  Raises
-    ValueError when a block's spectrum overflows.
+    offsets holding at most STACK_BYTES of entries, one `psd_checks` call per
+    stack on a read-only view of p (batched LAPACK decides each block as if
+    alone).  Stacks are decided in offset order up to the first that holds a
+    not-psd block, which settles the verdict; every block after that stack
+    gets a record with status "skipped" and no eigenvalues, band or margin.
+    When the blocks total more than STACK_BYTES and each fits in it, the
+    stacks are decided concurrently (eigvalsh releases the GIL) by a pool the
+    call opens for itself, one stack per worker at a time (see `_threads`
+    and `_decide_in_order`); the records come back in offset order with the
+    same bits and skipped blocks whatever the timing.  Raises ValueError
+    when a block's spectrum overflows.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N // 2:
@@ -298,11 +301,8 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
 
     def decide(stack):
         size, shifts = stack
-        ev = np.linalg.eigvalsh(hankel(p, size, shifts))
-        return [
-            BlockRecord.from_extremes(lo, hi, tol, s=s, size=size)
-            for s, lo, hi in zip(shifts.tolist(), ev[:, 0].tolist(), ev[:, -1].tolist())
-        ]
+        H = hankel(p, size, shifts)
+        return psd_checks(H, tol, cls=BlockRecord, s=shifts.tolist(), size=[size] * len(shifts))
 
     # a block larger than the cap is decided alone, on the calling thread
     pooled = total > STACK_BYTES >= 8 * (a + 1) ** 2

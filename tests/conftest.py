@@ -12,6 +12,10 @@ PPT_ENTANGLED_P = tuple(
     float(Fraction(x)) for x in ("1", "1/4", "1/8", "1/9", "1/8", "1/4", "1")
 )
 
+# d_symmetrizer(3, 3) / 7 as a 3-qutrit sequence: strictly 1-PPT (every
+# block positive definite) and entangled, with no search behind it.
+SYMMETRIZER_P = ("1", "1/3", "1/6", "1/7", "1/6", "1/3", "1")
+
 # (d, N) of the dense-verify benchmark mix, d^N from 64 to 1024
 DENSE_VERIFY_MIX = [
     (2, 6), (4, 3), (3, 4), (2, 7), (3, 5), (2, 8), (4, 4), (2, 9), (2, 10), (4, 5)

@@ -17,7 +17,7 @@ from dsym.decompose import ensemble_from_measure, separable_ensemble
 from dsym.moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, RecoveryError, is_separable
 from dsym.ppt import DEFAULT_PSD_TOL
 
-from conftest import far_atom_p, fourier_terms, geometric_p
+from conftest import SYMMETRIZER_P, far_atom_p, fourier_terms, geometric_p
 
 COUNTEREXAMPLE = {
     "N": 3,
@@ -400,6 +400,20 @@ def test_oracle_verify_counterexample_masks(tmp_path, capsys):
     code2, report2 = run(capsys, ["oracle-verify", path, "--mask", "001"])
     assert code2 == code
     assert abs(report2["oracle"]["lam_min"] - oracle["lam_min"]) < 1e-12
+
+
+def test_symmetrizer_is_strictly_ppt_and_entangled(tmp_path, capsys):
+    # d_symmetrizer(3, 3) / 7: every 1-PPT block is positive definite, so the
+    # verdicts need no tolerance, and the state is still entangled
+    path = write_spec(tmp_path, {"N": 3, "d": 3, "p": list(SYMMETRIZER_P)})
+    code, report = run(capsys, ["check-ppt", path, "--m", "1"])
+    assert code == 0 and report["ppt"]["verdict"] == "ppt"
+    code, report = run(capsys, ["check-separable", path, "--certificate"])
+    assert code == 1 and report["separability"]["verdict"] == "entangled"
+    assert report["certificate"]["type"] == "witness"
+    assert report["certificate"]["witness_value"] < 0
+    code, report = run(capsys, ["oracle-verify", path, "--mask", "100"])
+    assert code == 0 and report["oracle"]["status"] == "psd"
 
 
 def test_oracle_verify_calls_the_oracle_through_its_module_names(tmp_path, capsys, count_calls):

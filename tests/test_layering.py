@@ -1,6 +1,7 @@
 """Production modules build no dense d**N-sized arrays: only `states` and
 `oracle` do, and the package's top-level names are the production API.  The
-dense layer's cached arrays are read-only."""
+dense layer's cached arrays are read-only.  Every PSD decision of `ppt` and
+`moment` goes through one eigensolve site, `ppt.psd_checks`."""
 
 import ast
 import importlib
@@ -82,3 +83,34 @@ def test_cached_arrays_are_read_only(name):
                 assert not array.flags.writeable, key
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0
+
+
+def _eigensolves(module) -> set[tuple[str, str]]:
+    """(enclosing function, name) of every reference to eigh or eigvalsh in
+    the module's source, however it is reached (np.linalg.eigh, an imported
+    alias, scipy's)."""
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if isinstance(node, ast.alias):  # an import, whatever it is bound to
+            name = node.name.rpartition(".")[2]
+        if name in ("eigh", "eigvalsh"):
+            found.add((function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(inspect.getsource(module)), None)
+    return found
+
+
+def test_one_eigensolve_site_decides_psd():
+    # the kernel is the only place a ppt or moment Hankel is eigensolved; the
+    # Jacobi matrix of a quadrature rule is not a PSD decision
+    assert _eigensolves(importlib.import_module("dsym.ppt")) == {
+        ("psd_checks", "eigh"),
+        ("psd_checks", "eigvalsh"),
+    }
+    assert _eigensolves(importlib.import_module("dsym.moment")) == {("_gauss_rule", "eigh")}

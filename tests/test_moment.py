@@ -18,10 +18,10 @@ from dsym.moment import (
     recover_atomic_measure,
 )
 from dsym.oracle import dense_ppt_check
-from dsym.ppt import is_m_ppt
+from dsym.ppt import is_m_ppt, is_psd
 from dsym.states import StateSpec, build_state
 
-from conftest import PPT_ENTANGLED_P, geometric_p, random_spec
+from conftest import PPT_ENTANGLED_P, SYMMETRIZER_P, geometric_p, random_spec
 
 
 def atoms_moments(nodes, weights, n, top_mass=0.0):
@@ -56,6 +56,63 @@ def test_moment_hankels_geometric_rank_one():
 def test_moment_hankels_rejects_empty():
     with pytest.raises(ValueError):
         moment_hankels(())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_sequence_is_refused(bad):
+    # a non-finite coefficient has no verdict: it used to read as "no" with
+    # finite eigenvalues, as a measure with a NaN residual, or as LinAlgError
+    for p in ([bad, 1.0, 1.0], [1.0, bad, 1.0, 1.0, 1.0], [1.0, 1.0, bad]):
+        for f in (moment_hankels, is_generalized_moment_solution, recover_atomic_measure):
+            with pytest.raises(ValueError, match="non-finite"):
+                f(p)
+
+
+def _bits(check):
+    """Everything of a PsdCheck that a report or witness reads, bit for bit."""
+    floats = (check.lam_min, check.lam_max, check.band)
+    vec = None if check.vec is None else check.vec.tobytes()
+    return check.status, *(None if x is None else x.hex() for x in floats), vec
+
+
+def test_feasibility_checks_are_is_psd_bit_for_bit():
+    # the moment Hankels skip is_psd's validation, not its decision
+    rng = np.random.default_rng(5)
+    sequences = [
+        (0.7,),  # the odd Hankel is empty
+        (1.0, 0.5),
+        PPT_ENTANGLED_P,
+        tuple(float(Fraction(x)) for x in SYMMETRIZER_P),
+        (1.0, 0.5, 0.25 - 3e-11),  # marginal
+        geometric_p(6, 2, 1.3),
+        *(tuple(rng.uniform(0, 1, n)) for n in (4, 9, 17)),
+    ]
+    for p in sequences:
+        check = is_generalized_moment_solution(p)
+        even, odd = (is_psd(h) for h in moment_hankels(p))
+        assert _bits(check.even) == _bits(even) and _bits(check.odd) == _bits(odd)
+    assert check.even.vec is not None and check.odd.vec is not None
+    assert is_generalized_moment_solution((0.7,)).odd.vec is None
+
+
+def test_symmetrizer_blocks_and_moment_hankel_exactly():
+    # in exact arithmetic: the three 1-PPT blocks are positive definite
+    # (every leading principal minor > 0), the even moment Hankel is not PSD
+    p = [Fraction(x) for x in SYMMETRIZER_P]
+
+    def det(M):  # Laplace expansion along the first row
+        if len(M) == 1:
+            return M[0][0]
+        minors = (det([r[:j] + r[j + 1 :] for r in M[1:]]) for j in range(len(M)))
+        return sum((-1) ** j * M[0][j] * minor for j, minor in enumerate(minors))
+
+    minors = [
+        det([[p[k + l + s] for l in range(j)] for k in range(j)])
+        for s in range(3)
+        for j in (1, 2, 3)
+    ]
+    assert all(m > 0 for m in minors) and min(minors) == Fraction(1, 10584)
+    assert det([[p[k + l] for l in range(4)] for k in range(4)]) == Fraction(-793, 1037232)
 
 
 def test_feasibility_examples():

@@ -146,6 +146,15 @@ def test_is_psd_rejects_asymmetric():
         is_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_is_psd_rejects_non_finite(bad):
+    # refused before the symmetry test, whose inf - inf would warn, and
+    # before the eigensolve, which would blame an overflowed spectrum
+    for M in ([[bad]], [[1.0, bad], [bad, 1.0]], np.diag([1.0, bad])):
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            is_psd(np.array(M))
+
+
 def test_is_psd_empty_matrix():
     chk = is_psd(np.zeros((0, 0)))
     assert chk.status == "psd" and chk.lam_min is None
