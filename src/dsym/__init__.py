@@ -7,11 +7,6 @@ dense d**N-dimensional builders, which only verify, are reached as
 
 __version__ = "0.1.0"
 
-from .combinatorics import (
-    count_compositions,
-    enumerate_tuples,
-    tuple_to_index,
-)
 from .decompose import (
     NotSeparableError,
     SeparableEnsemble,
@@ -39,9 +34,6 @@ from .states import (
 from .witnesses import WitnessSpec
 
 __all__ = [
-    "count_compositions",
-    "enumerate_tuples",
-    "tuple_to_index",
     "StateSpec",
     "DenseCapExceeded",
     "PPTReport",

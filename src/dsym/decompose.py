@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import composition_counts
 from .moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, SeparabilityVerdict, is_separable
-from .states import StateSpec
+from .states import StateSpec, composition_counts
 
 TOP = "top"
 

@@ -8,7 +8,7 @@ permutations (digit swaps between row and column indices), never Kronecker
 products of transpose maps, so they keep the dtype of their input: the real
 states of ``states.build_state`` give real partial transposes, eigensolved in
 real symmetric arithmetic, while complex inputs (product states, separable
-ensembles) stay complex.  Permutation operators are real.
+ensembles) stay complex.
 
 A spectrum is taken from one quotient of the matrix by its equal rows,
 found from the matrix alone (no digit sums, no Hankel blocks), so the
@@ -30,22 +30,13 @@ The dense forms of the production certificates, for tests, are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import composition_counts, digit_table
 from .decompose import SeparableEnsemble
 from .ppt import DEFAULT_PSD_TOL, PsdCheck
-from .states import (
-    StateSpec,
-    build_state,
-    check_dense_cap,
-    d_symmetrizer,
-    digit_sum_operator,
-    product_powers,
-)
+from .states import composition_counts, digit_sum_operator, product_powers
 from .witnesses import FAMILY_SHIFT, WitnessSpec
 
 
@@ -76,39 +67,6 @@ def partial_transpose(rho: np.ndarray, mask, d: int) -> np.ndarray:
         if bit:
             axes[party], axes[N + party] = axes[N + party], axes[party]
     return rho.reshape((d,) * (2 * N)).transpose(axes).reshape(dim, dim)
-
-
-def permutation_operator(sigma, d: int) -> np.ndarray:
-    """Unitary permutation of tensor factors: factor r of the output is
-    factor sigma^{-1}(r) of the input.  `sigma` is a 0-based permutation
-    tuple (sigma[r] = image of position r)."""
-    sigma = tuple(int(s) for s in sigma)
-    N = len(sigma)
-    if sorted(sigma) != list(range(N)):
-        raise ValueError(f"{sigma} is not a permutation of 0..{N - 1}")
-    dim = check_dense_cap(N, d)
-    # output digit at position sigma[r] is the input digit at position r
-    target = digit_table(N, d) @ d ** (N - 1 - np.array(sigma, dtype=np.int64))
-    F = np.zeros((dim, dim))
-    F[target, np.arange(dim)] = 1.0
-    return F
-
-
-def offset_supports(N: int, d: int, m: int) -> list[np.ndarray]:
-    """Index sets of the digit-sum offset blocks of the partial transpose over
-    the first m parties, one per offset s = -m(d-1)..(N-m)(d-1).
-
-    With a and b an index's digit sums over the transposed and the kept group,
-    block s holds the indices with b - a = s.  On it the partial transpose
-    has entries p[a_i + b_j] = P_s[a_i, a_j], and it is zero outside the
-    union of the blocks' index squares.  The supports do not depend on p.
-    """
-    if not 1 <= m <= N - 1:
-        raise ValueError(f"m must be in [1, {N - 1}], got {m}")
-    check_dense_cap(N, d)
-    digits = digit_table(N, d)
-    offset = digits[:, m:].sum(axis=1) - digits[:, :m].sum(axis=1)
-    return [np.flatnonzero(offset == s) for s in range(-m * (d - 1), (N - m) * (d - 1) + 1)]
 
 
 def witness_matrix(w: WitnessSpec) -> np.ndarray:
@@ -158,7 +116,7 @@ def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
     correctness.  Every row of M equals one of R = M[r], so the finite test
     on R tests every entry; and when the columns of R are equal within
     each class too, M - M^H repeats the entries of A - A^H, so the
-    Hermitian test to 1e-12 * max(1, max|M|) runs on A, else on M.
+    Hermitian test to 1e-12 * max|M| runs on A, else on M.
     """
     M = np.ascontiguousarray(M)  # one layout, so one row hash for every layout
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -183,7 +141,7 @@ def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
         raise ValueError("matrix has non-finite entries")
     A = R[:, reps]
     H = A if (R == A[:, cls]).all() else M
-    if abs(H - H.conj().T).max() > 1e-12 * max(1.0, scale):
+    if abs(H - H.conj().T).max() > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     root = np.sqrt(sizes)
     spectrum = np.linalg.eigvalsh(A * root[:, None] * root[None, :])
@@ -204,53 +162,3 @@ def dense_ppt_check(rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL)
     Raises ValueError if the partial transpose is not Hermitian."""
     lam_min, lam_max = _extreme_eigenvalues(partial_transpose(rho, mask, d))
     return PsdCheck.from_extremes(lam_min, lam_max, tol).status, lam_min, lam_max
-
-
-@dataclass(frozen=True)
-class MaskAgreement:
-    mask_a: tuple[int, ...]
-    mask_b: tuple[int, ...]
-    lam_min_a: float
-    lam_min_b: float
-    difference: float
-    status_a: str
-    status_b: str
-
-    @property
-    def agree(self) -> bool:
-        return self.status_a == self.status_b
-
-
-def check_mask_equivalence(
-    spec: StateSpec, mask_a, mask_b, tol: float = DEFAULT_PSD_TOL
-) -> MaskAgreement:
-    """Compare dense PPT verdicts under two transpose masks of equal weight.
-
-    For permutation-symmetric states only the number of transposed parties
-    matters, so the two minimum eigenvalues must coincide.
-    """
-    mask_a = _validate_mask(mask_a, spec.N)
-    mask_b = _validate_mask(mask_b, spec.N)
-    if sum(mask_a) != sum(mask_b):
-        raise ValueError(
-            f"masks have different weights: {sum(mask_a)} vs {sum(mask_b)}"
-        )
-    rho = build_state(spec)
-    status_a, lam_a, _ = dense_ppt_check(rho, mask_a, spec.d, tol)
-    status_b, lam_b, _ = dense_ppt_check(rho, mask_b, spec.d, tol)
-    return MaskAgreement(
-        mask_a, mask_b, lam_a, lam_b, abs(lam_a - lam_b), status_a, status_b
-    )
-
-
-def check_d_symmetry(rho: np.ndarray, N: int, d: int, tol: float = 1e-10) -> bool:
-    """Whether rho is invariant under compression by the digit-sum projector."""
-    rho = np.asarray(rho)
-    dim = check_dense_cap(N, d)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"matrix shape {rho.shape} does not match d**N = {dim}")
-    P = d_symmetrizer(N, d)
-    norm = np.linalg.norm(rho)
-    if norm == 0:
-        return True
-    return bool(np.linalg.norm(rho - P @ rho @ P) < tol * norm)

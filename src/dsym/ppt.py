@@ -5,8 +5,7 @@ digit-sum offset s between the two party groups; each block is (congruent
 to) the Hankel matrix P_s with entries p[k+l+s].  The state is m-PPT exactly
 when a small, explicitly known family of those Hankel blocks is positive
 semidefinite, so this module never touches a d**N-dimensional matrix and
-has no size cap.  The index supports of the offset blocks inside the dense
-partial transpose are verification-only: ``oracle.offset_supports``.
+has no size cap.
 
 Every Hankel matrix of the package, the blocks P_s here and the two moment
 Hankels of `moment`, is built by `hankel` as a read-only strided view of p,
@@ -138,7 +137,7 @@ def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL) -> PsdCheck:
     # one temporary, the size of M, holds |M - M^T| and then |M|
     diff = np.subtract(M, M.T)
     asym = np.abs(diff, out=diff).max(initial=0.0)
-    if asym > 1e-12 * max(1.0, np.abs(M, out=diff).max(initial=0.0)):
+    if asym > 1e-12 * np.abs(M, out=diff).max(initial=0.0):
         raise ValueError("matrix is not symmetric")
     return psd_checks(M[None], tol_rel, vectors=True)[0]
 

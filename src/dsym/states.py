@@ -1,25 +1,29 @@
-"""Restricted Dicke vectors and digit-sum symmetric (D-symmetric) operators.
+"""Diagonal restricted-Dicke states and their dense digit-sum kernels.
 
-Dense operators are numpy arrays of shape (d**N, d**N), with rows and
-columns indexed by the big-endian digit convention of
-``combinatorics.tuple_to_index``.  The restricted Dicke vectors have entries
-0 and 1, so every operator diagonal in them (states, the D-symmetrizer, the
-V/U witnesses) and the bosonic symmetrizer is real symmetric and built as
-float64: its eigensolves then run in real arithmetic.  Only the product
-states carry complex phases: ``product_powers``, ``sigma_z`` and separable
-ensembles stay complex128.  Dense construction is deliberately capped
-(default d**N <= 4096, override with the DSYM_DENSE_CAP environment
-variable, an integer >= 1): the dense path exists for verification, not
-production; ``states`` and ``oracle`` are the only modules that build dense
-arrays, and the Hankel classification path in the ppt/moment modules has no
-cap.
+Everything dense indexes the computational basis of (C^d)^(x N) by N-tuples
+of digits in {0, ..., d-1}, big-endian: row i of the cached table
+``digit_table(N, d)`` holds the digits of basis index i, and digit sums and
+product vectors all come from it.  ``composition_counts(N, d)[k]`` is the
+number of tuples with digit sum k (a binomial coefficient for d = 2); it is
+what the coefficient-sequence code needs of this module besides `StateSpec`.
 
-Dense operators are built by two kernels over ``combinatorics.digit_table``:
-``digit_sum_operator`` gives sum_k v_k |R_k><R_k| (states, the D-symmetrizer,
+The restricted Dicke vectors R_k, the sums of the basis vectors of digit
+sum k, have entries 0 and 1, so every operator diagonal in them (states, the
+V/U witnesses) is real symmetric and built as float64: its eigensolves then
+run in real arithmetic.  Only the product states carry complex phases:
+``product_powers`` and separable ensembles stay complex128.  Dense
+construction is deliberately capped (default d**N <= 4096, override with the
+DSYM_DENSE_CAP environment variable, an integer >= 1): the dense path exists
+for verification, not production; ``states`` and ``oracle`` are the only
+modules that build dense arrays, and the Hankel classification path in the
+ppt/moment modules has no cap.
+
+Dense operators are built by two kernels over ``digit_table``:
+``digit_sum_operator`` gives sum_k v_k |R_k><R_k| (states,
 ``oracle.witness_matrix``) and ``product_powers`` the tensor powers
-phi^(tensor N) (product states, ``oracle.ensemble_matrix``).  Rows of equal
-digit sum are equal in sum_k v_k |R_k><R_k|, so ``digit_sum_operator`` builds
-its N(d-1)+1 distinct rows and writes the matrix in one row gather; no
+phi^(tensor N) (``oracle.ensemble_matrix``).  Rows of equal digit sum are
+equal in sum_k v_k |R_k><R_k|, so ``digit_sum_operator`` builds its
+N(d-1)+1 distinct rows and writes the matrix in one row gather; no
 d**N x d**N temporary is made.
 """
 
@@ -32,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import composition_counts, count_compositions, digit_sums, digit_table
-
+_UINT64_MAX = 2**64 - 1
 DEFAULT_DENSE_CAP = 4096
 
 
@@ -59,6 +62,48 @@ def check_dense_cap(N: int, d: int) -> int:
             "(set DSYM_DENSE_CAP to raise it)"
         )
     return dim
+
+
+def _validate_nd(N: int, d: int) -> None:
+    if N < 1:
+        raise ValueError(f"particle count N must be >= 1, got {N}")
+    if d < 2:
+        raise ValueError(f"local dimension d must be >= 2, got {d}")
+    if d**N > _UINT64_MAX:
+        raise ValueError(f"d**N = {d}**{N} exceeds the 64-bit count range")
+
+
+@lru_cache(maxsize=None)
+def composition_counts(N: int, d: int) -> np.ndarray:
+    """The number of N-tuples over {0..d-1} with digit sum k, for every
+    k = 0..N(d-1), as a read-only float64 array: the coefficients of
+    (1 + x + ... + x^(d-1))^N, from N convolutions.  Exact below 2**53,
+    rounded above it, and inf beyond the float range; no cap on d**N."""
+    counts = np.ones(1)
+    with np.errstate(over="ignore"):
+        for _ in range(N):
+            counts = np.convolve(counts, np.ones(d))
+    counts.setflags(write=False)
+    return counts
+
+
+@lru_cache(maxsize=None)
+def digit_table(N: int, d: int) -> np.ndarray:
+    """Base-d digits of every basis index 0..d**N-1, most significant first, as
+    a read-only int array of shape (d**N, N): row sum_r t_r d**(N-1-r) is t."""
+    _validate_nd(N, d)
+    places = d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+    table = (np.arange(d**N, dtype=np.int64)[:, None] // places) % d
+    table.setflags(write=False)
+    return table
+
+
+@lru_cache(maxsize=None)
+def digit_sums(N: int, d: int) -> np.ndarray:
+    """Digit sum of every basis index 0..d**N-1, as a read-only int array."""
+    sums = digit_table(N, d).sum(axis=1)
+    sums.setflags(write=False)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -92,26 +137,6 @@ class StateSpec:
             raise ValueError("coefficients p_k must be nonnegative")
         object.__setattr__(self, "p", p)
 
-    @property
-    def num_levels(self) -> int:
-        return self.N * (self.d - 1) + 1
-
-
-def restricted_dicke_vector(N: int, d: int, k: int) -> np.ndarray:
-    """Unnormalized sum of all basis vectors whose N digits sum to k.
-
-    Squared norm equals count_compositions(N, k, d).
-    """
-    if k < 0 or k > N * (d - 1):
-        raise ValueError(f"digit sum k={k} out of range [0, {N * (d - 1)}]")
-    check_dense_cap(N, d)
-    return (digit_sums(N, d) == k).astype(float)
-
-
-def dual_restricted_dicke(N: int, d: int, k: int) -> np.ndarray:
-    """Dual-basis partner: the restricted Dicke vector divided by its squared norm."""
-    return restricted_dicke_vector(N, d, k) / count_compositions(N, k, d)
-
 
 def digit_sum_operator(N: int, d: int, values) -> np.ndarray:
     """Dense real sum_k values[k] |R_k><R_k| over the restricted Dicke vectors
@@ -140,47 +165,12 @@ def product_powers(N: int, d: int, phis) -> np.ndarray:
     return vecs
 
 
-@lru_cache(maxsize=None)
-def _multiset_orbits(N: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group basis indices by digit multiset: (orbit id per index, orbit sizes)."""
-    _, orbit_id, sizes = np.unique(
-        np.sort(digit_table(N, d), axis=1), axis=0, return_inverse=True, return_counts=True
-    )
-    orbit_id.setflags(write=False)
-    sizes.setflags(write=False)
-    return orbit_id, sizes
-
-
-def symmetrizer(N: int, d: int) -> np.ndarray:
-    """Projection onto the permutation-symmetric (bosonic) subspace.
-
-    Averaging over all N! permutations sends |i> to the uniform mixture of
-    its digit rearrangements, so the matrix element between i and j is
-    1/orbit_size when i and j share a digit multiset and 0 otherwise.
-    """
-    check_dense_cap(N, d)
-    orbit_id, sizes = _multiset_orbits(N, d)
-    same = orbit_id[:, None] == orbit_id[None, :]
-    inv = (1.0 / sizes[orbit_id])[:, None]
-    return np.where(same, inv, 0.0)
-
-
-def d_symmetrizer(N: int, d: int) -> np.ndarray:
-    """Projection averaging each basis vector over all tuples with the same
-    digit sum; its range (dimension N(d-1)+1) is spanned by the restricted
-    Dicke vectors.
-    """
-    check_dense_cap(N, d)
-    return digit_sum_operator(N, d, 1.0 / composition_counts(N, d))
-
-
 def build_state(spec: StateSpec, normalize: bool = False) -> np.ndarray:
     """Dense matrix of the diagonal restricted-Dicke state.
 
     Entry (i, j) equals p[k] when both digit sums are k, else 0.  The trace
-    is sum_k p[k] * count_compositions(N, k, d).
+    is sum_k p[k] * composition_counts(N, d)[k].
     """
-    check_dense_cap(spec.N, spec.d)
     rho = digit_sum_operator(spec.N, spec.d, spec.p)
     if normalize:
         tr = np.trace(rho)
@@ -188,23 +178,3 @@ def build_state(spec: StateSpec, normalize: bool = False) -> np.ndarray:
             raise ValueError("cannot normalize a state with nonpositive trace")
         rho /= tr
     return rho
-
-
-def sigma_z(N: int, d: int, z: complex) -> np.ndarray:
-    """Rank-1, trace-1 product state built from N copies of the geometric
-    vector; z = 0 degenerates to the all-zeros basis state.  Together with
-    the top state |d-1>^N these exhaust the pure separable states in the
-    digit-sum symmetric family.
-    """
-    check_dense_cap(N, d)
-    # unit vector with geometrically graded amplitudes (1, z, ..., z^(d-1))
-    xi = np.array([complex(z) ** i for i in range(d)])
-    xi /= np.linalg.norm(xi)
-    vec = product_powers(N, d, [xi])[0]
-    return np.outer(vec, vec.conj())
-
-
-def top_product_state(N: int, d: int) -> np.ndarray:
-    """|d-1><d-1| tensored N times, as a dense matrix."""
-    check_dense_cap(N, d)
-    return digit_sum_operator(N, d, np.eye(N * (d - 1) + 1)[-1])

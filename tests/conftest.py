@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dsym import StateSpec
-from dsym.combinatorics import digit_table
+from dsym.states import digit_table
 
 # Three-qutrit sequence that is 1-PPT but entangled: the boundary case
 # separating the even-N equivalence from the odd-N failure.

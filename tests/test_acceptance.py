@@ -14,15 +14,15 @@ from dsym.moment import is_generalized_moment_solution, recover_atomic_measure
 from dsym.oracle import (
     dense_ppt_check,
     ensemble_matrix,
-    offset_supports,
     partial_transpose,
     witness_matrix,
 )
 from dsym.ppt import is_m_ppt, is_psd
-from dsym.states import StateSpec, build_state, sigma_z, top_product_state
+from dsym.states import StateSpec, build_state
 from dsym.witnesses import WitnessSpec, family_u_length, family_v_length
 
 from conftest import PPT_ENTANGLED_P, geometric_p, group_sums, random_spec
+from paper_objects import offset_supports, sigma_z, top_product_state
 
 
 def _verdict_bool(verdict: str):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +415,43 @@ def test_symmetrizer_is_strictly_ppt_and_entangled(tmp_path, capsys):
     assert report["certificate"]["witness_value"] < 0
     code, report = run(capsys, ["oracle-verify", path, "--mask", "100"])
     assert code == 0 and report["oracle"]["status"] == "psd"
+
+
+# qubit p_k = 2^k with p_{n/2} scaled by f < 1: entangled and not n/2-PPT
+SCALE_PROBE = [(n, f) for n in (96, 128, 256) for f in (0.5, 0.9)]
+ABSOLUTE_BAND = "the band tol * max(1, lam_max) swallows the decisive eigenvalue"
+
+
+def scale_probe_p(n, f):
+    p = [2.0**k for k in range(n + 1)]
+    p[n // 2] *= f
+    return p
+
+
+@pytest.mark.parametrize("n,f", SCALE_PROBE)
+def test_scale_probe_has_an_exact_negative_witness(n, f):
+    # x = e_{n/4} - 2^{n/4-k} e_k on the even moment Hankel (p_{i+j}),
+    # i, j = 0..n/2, which is also the n/2-PPT block P_0, in exact arithmetic
+    p = [Fraction(x) for x in scale_probe_p(n, f)]
+    for k in range(n // 2 + 1):
+        if k != n // 4:
+            x = {n // 4: Fraction(1), k: -Fraction(2) ** (n // 4 - k)}
+            value = sum(xi * xj * p[i + j] for i, xi in x.items() for j, xj in x.items())
+            assert value == (Fraction(f) - 1) * 2 ** (n // 2) < 0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ABSOLUTE_BAND)
+@pytest.mark.parametrize("n,f", SCALE_PROBE)
+def test_scale_probe_is_entangled(tmp_path, capsys, n, f):
+    path = write_spec(tmp_path, {"N": n, "d": 2, "p": scale_probe_p(n, f)})
+    assert run(capsys, ["check-separable", path])[1]["separability"]["verdict"] == "entangled"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=ABSOLUTE_BAND)
+@pytest.mark.parametrize("n,f", SCALE_PROBE)
+def test_scale_probe_is_not_half_ppt(tmp_path, capsys, n, f):
+    path = write_spec(tmp_path, {"N": n, "d": 2, "p": scale_probe_p(n, f)})
+    assert run(capsys, ["check-ppt", path, "--m", str(n // 2)])[1]["ppt"]["verdict"] == "not-ppt"
 
 
 def test_oracle_verify_calls_the_oracle_through_its_module_names(tmp_path, capsys, count_calls):

@@ -20,10 +20,11 @@ from dsym.decompose import (
     separable_ensemble,
 )
 from dsym.moment import MeasureAtoms, RecoveryError, is_separable
-from dsym.oracle import ensemble_matrix, permutation_operator
+from dsym.oracle import ensemble_matrix
 from dsym.states import StateSpec, build_state
 
 from conftest import far_atom_p, fourier_terms, geometric_p
+from paper_objects import permutation_operator
 
 
 def test_geometric_ensemble_t_zero():

@@ -1,7 +1,8 @@
 """Production modules build no dense d**N-sized arrays: only `states` and
 `oracle` do, and the package's top-level names are the production API.  The
-dense layer's cached arrays are read-only.  Every PSD decision of `ppt` and
-`moment` goes through one eigensolve site, `ppt.psd_checks`."""
+dense layer defines a pinned set of public names, and its cached arrays are
+read-only.  Every PSD decision of `ppt` and `moment` goes through one
+eigensolve site, `ppt.psd_checks`."""
 
 import ast
 import importlib
@@ -15,17 +16,31 @@ import dsym
 
 PRODUCTION = ("dsym.ppt", "dsym.moment", "dsym.witnesses", "dsym.decompose")
 DENSE_KERNELS = ("check_dense_cap", "digit_table", "digit_sum_operator", "product_powers")
-STATES_BUILDERS = (
-    "build_state",
-    "restricted_dicke_vector",
-    "dual_restricted_dicke",
-    "symmetrizer",
-    "d_symmetrizer",
-    "sigma_z",
-    "top_product_state",
-    "digit_sum_operator",
-    "product_powers",
-)
+STATES_BUILDERS = ("build_state", "digit_sum_operator", "product_powers")
+# the public names of the dense layer: the paper's verification-only objects
+# are built from these in tests/paper_objects.py
+DENSE_LAYER = {
+    "dsym.states": {
+        "DEFAULT_DENSE_CAP",
+        "DenseCapExceeded",
+        "StateSpec",
+        "build_state",
+        "check_dense_cap",
+        "composition_counts",
+        "dense_cap",
+        "digit_sum_operator",
+        "digit_sums",
+        "digit_table",
+        "product_powers",
+    },
+    "dsym.oracle": {
+        "dense_ppt_check",
+        "ensemble_matrix",
+        "min_eigenvalue",
+        "partial_transpose",
+        "witness_matrix",
+    },
+}
 
 
 def _imported_modules(module) -> set[str]:
@@ -55,6 +70,18 @@ def test_top_level_names_hold_no_dense_builder():
     assert not from_oracle
 
 
+@pytest.mark.parametrize("name", DENSE_LAYER)
+def test_dense_layer_defines_only_its_public_names(name):
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets}
+    assert {k for k in defined if not k.startswith("_")} == DENSE_LAYER[name]
+
+
+def test_combinatorics_module_is_gone():
+    assert importlib.util.find_spec("dsym.combinatorics") is None
+
+
 def _arrays(value):
     if isinstance(value, np.ndarray):
         yield value
@@ -63,15 +90,14 @@ def _arrays(value):
             yield from _arrays(item)
 
 
-@pytest.mark.parametrize("name", ["dsym.combinatorics", "dsym.states", "dsym.oracle"])
+@pytest.mark.parametrize("name", ["dsym.states", "dsym.oracle"])
 def test_cached_arrays_are_read_only(name):
     # a cached array is shared by every later call: one write through it
     # would corrupt every state built after
     module = importlib.import_module(name)
     cached = {k: f for k, f in vars(module).items() if hasattr(f, "cache_info")}
     expected, calls = {
-        "dsym.combinatorics": ({"digit_table", "digit_sums", "composition_counts"}, [(3, 2), (2, 4)]),
-        "dsym.states": ({"_multiset_orbits"}, [(3, 2), (2, 4)]),
+        "dsym.states": ({"digit_table", "digit_sums", "composition_counts"}, [(3, 2), (2, 4)]),
         "dsym.oracle": ({"_probe"}, [(8,), (16,)]),  # one argument: the row count
     }[name]
     assert expected <= set(cached)

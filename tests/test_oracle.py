@@ -7,22 +7,18 @@ import numpy as np
 import pytest
 
 from dsym import oracle
-from dsym.combinatorics import tuple_to_index
 from dsym.oracle import (
     _extreme_eigenvalues,
-    check_d_symmetry,
-    check_mask_equivalence,
     dense_ppt_check,
     ensemble_matrix,
     min_eigenvalue,
-    offset_supports,
     partial_transpose,
-    permutation_operator,
 )
 from dsym.ppt import PsdCheck, is_m_ppt
-from dsym.states import StateSpec, build_state, sigma_z
+from dsym.states import StateSpec, build_state
 
 from conftest import DENSE_VERIFY_MIX, group_sums, random_spec
+from paper_objects import check_d_symmetry, offset_supports, permutation_operator, sigma_z
 
 
 def basis_matrix_unit(i, j, dim):
@@ -33,9 +29,9 @@ def basis_matrix_unit(i, j, dim):
 
 def test_partial_transpose_moves_digit_pairs():
     # |01><10| with the first party transposed becomes |11><00|
-    rho = basis_matrix_unit(tuple_to_index((0, 1), 2), tuple_to_index((1, 0), 2), 4)
+    rho = basis_matrix_unit(0b01, 0b10, 4)
     pt = partial_transpose(rho, (1, 0), 2)
-    expected = basis_matrix_unit(tuple_to_index((1, 1), 2), tuple_to_index((0, 0), 2), 4)
+    expected = basis_matrix_unit(0b11, 0b00, 4)
     np.testing.assert_array_equal(pt, expected)
 
 
@@ -79,10 +75,8 @@ def test_permutation_operator_examples():
     np.testing.assert_array_equal(permutation_operator((0, 1), 2), np.eye(4))
     # swapping the two parties sends |01> to |10>
     F = permutation_operator((1, 0), 2)
-    e01 = np.zeros(4)
-    e01[tuple_to_index((0, 1), 2)] = 1.0
-    out = F @ e01
-    assert out[tuple_to_index((1, 0), 2)] == 1.0 and np.count_nonzero(out) == 1
+    out = F @ np.eye(4)[0b01]
+    assert out[0b10] == 1.0 and np.count_nonzero(out) == 1
 
 
 def test_permutation_operator_is_unitary_representation():
@@ -111,25 +105,18 @@ def test_diagonal_states_are_permutation_invariant():
 
 
 def test_mask_equivalence_examples():
+    # only the number of transposed parties matters, so masks of equal
+    # weight give one verdict and one minimum eigenvalue
     rng = np.random.default_rng(55)
-    for _ in range(50):
-        spec = random_spec(rng, 3, 2)
-        rec = check_mask_equivalence(spec, (1, 0, 0), (0, 0, 1))
-        assert rec.agree
-        assert rec.difference < 1e-12
-
+    cases = [(random_spec(rng, 3, 2), (1, 0, 0), (0, 0, 1)) for _ in range(50)]
     spec = random_spec(rng, 4, 2)
-    rec = check_mask_equivalence(spec, (1, 1, 0, 0), (0, 1, 0, 1))
-    assert rec.agree and rec.difference < 1e-12
-
-    rec = check_mask_equivalence(spec, (1, 0, 0, 0), (1, 0, 0, 0))
-    assert rec.agree and rec.difference == 0.0
-
-
-def test_mask_equivalence_weight_mismatch():
-    spec = StateSpec(3, 2, (1.0, 1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        check_mask_equivalence(spec, (1, 0, 0), (1, 1, 0))
+    cases += [(spec, (1, 1, 0, 0), (0, 1, 0, 1)), (spec, (1, 0, 0, 0), (1, 0, 0, 0))]
+    for spec, mask_a, mask_b in cases:
+        rho = build_state(spec)
+        status_a, lam_a, _ = dense_ppt_check(rho, mask_a, spec.d)
+        status_b, lam_b, _ = dense_ppt_check(rho, mask_b, spec.d)
+        assert status_a == status_b and abs(lam_a - lam_b) < 1e-12
+    assert lam_a == lam_b  # the last case is one mask twice
 
 
 def test_check_d_symmetry():
@@ -337,8 +324,11 @@ def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
     bad[5, 5] += 1e-6j
     with pytest.raises(ValueError, match="Hermitian"):
         dense_ppt_check(bad, (1, 0, 0), 3)
-    # rounding-level asymmetry stays inside the 1e-12 * max(1, max|rho|) test
-    for scale in (1.0, 1e6):
+    # the test is relative to the largest entry: asymmetric by 1.0 of it,
+    # though under 1e-12 in absolute terms, fails; rounding passes at any scale
+    with pytest.raises(ValueError, match="Hermitian"):
+        min_eigenvalue(np.array([[1e-20, 1e-15], [0.0, 1e-20]]))
+    for scale in (1.0, 1e6, 1e-20):
         near = scale * rho
         near[0, 26] = 1e-14 * scale
         assert dense_ppt_check(near, (1, 0, 0), 3)[0] == "psd"

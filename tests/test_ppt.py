@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from dsym import ppt
-from dsym.combinatorics import count_compositions
-from dsym.oracle import dense_ppt_check, offset_supports, partial_transpose
+from dsym.oracle import dense_ppt_check, partial_transpose
 from dsym.ppt import (
     STACK_BYTES,
     PsdCheck,
@@ -21,9 +20,10 @@ from dsym.ppt import (
     is_psd,
     worst_status,
 )
-from dsym.states import StateSpec, build_state
+from dsym.states import StateSpec, build_state, composition_counts
 
 from conftest import PPT_ENTANGLED_P, group_sums, random_spec
+from paper_objects import offset_supports
 
 
 def hankel_block(p, N, d, m, s):
@@ -144,6 +144,13 @@ def test_worst_status():
 def test_is_psd_rejects_asymmetric():
     with pytest.raises(ValueError):
         is_psd(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    # the test is relative to the largest entry: asymmetric by 1.0 of it,
+    # though under 1e-12 in absolute terms, fails; rounding passes at any scale
+    with pytest.raises(ValueError, match="symmetric"):
+        is_psd(np.array([[1e-20, 1e-15], [0.0, 1e-20]]))
+    near = np.array([[1.0, 0.5], [0.5 + 1e-14, 1.0]])
+    for scale in (1.0, 1e-20):
+        assert is_psd(scale * near).status == "psd"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -259,7 +266,7 @@ def test_block_eigenvalue_signs_match_hankel():
         assert len(counts) == hi + 1 and not counts[:lo].any()
         scales = counts[lo:]
         assert scales.tolist() == [
-            count_compositions(m, k, d) * count_compositions(N - m, k + s, d)
+            composition_counts(m, d)[k] * composition_counts(N - m, d)[k + s]
             for k in range(lo, hi + 1)
         ]
         D = np.diag(np.sqrt(scales))

@@ -6,22 +6,26 @@ import numpy as np
 import pytest
 
 from dsym import oracle
-from dsym.combinatorics import composition_counts, count_compositions, digit_sums, tuple_to_index
 from dsym.states import (
     DenseCapExceeded,
     StateSpec,
     build_state,
-    d_symmetrizer,
+    composition_counts,
     digit_sum_operator,
+    digit_sums,
+)
+from dsym.witnesses import WitnessSpec, family_u_length, family_v_length
+
+from conftest import DENSE_VERIFY_MIX
+from paper_objects import (
+    d_symmetrizer,
     dual_restricted_dicke,
+    permutation_operator,
     restricted_dicke_vector,
     sigma_z,
     symmetrizer,
     top_product_state,
 )
-from dsym.witnesses import WitnessSpec, family_u_length, family_v_length
-
-from conftest import DENSE_VERIFY_MIX
 
 
 def test_spec_validation():
@@ -52,7 +56,7 @@ def test_restricted_dicke_norm_is_count():
     for N, d in [(2, 3), (3, 3), (4, 2)]:
         for k in range(N * (d - 1) + 1):
             v = restricted_dicke_vector(N, d, k)
-            assert np.vdot(v, v).real == count_compositions(N, k, d)
+            assert np.vdot(v, v).real == composition_counts(N, d)[k]
             assert set(np.unique(v.real)) <= {0.0, 1.0}
 
 
@@ -81,7 +85,7 @@ def test_dual_example_scaling():
 def test_symmetrizer_action_on_01():
     PS = symmetrizer(2, 2)
     e01 = np.zeros(4, dtype=complex)
-    e01[tuple_to_index((0, 1), 2)] = 1.0
+    e01[0b01] = 1.0
     out = PS @ e01
     expected = np.zeros(4, dtype=complex)
     expected[1] = 0.5
@@ -139,7 +143,7 @@ def test_build_state_examples():
     np.testing.assert_allclose(rho, expected)
 
     rho = build_state(StateSpec(2, 2, (1.0, 1.0, 1.0)))
-    assert rho[tuple_to_index((0, 1), 2), tuple_to_index((1, 0), 2)] == 1.0
+    assert rho[0b01, 0b10] == 1.0
 
 
 def test_build_state_trace():
@@ -147,7 +151,7 @@ def test_build_state_trace():
     for N, d in [(2, 2), (3, 2), (2, 3), (3, 3)]:
         p = rng.uniform(0, 1, N * (d - 1) + 1)
         rho = build_state(StateSpec(N, d, tuple(p)))
-        expected = sum(p[k] * count_compositions(N, k, d) for k in range(len(p)))
+        expected = p @ composition_counts(N, d)
         assert np.trace(rho).real == pytest.approx(expected, rel=1e-13)
 
 
@@ -172,7 +176,7 @@ def test_qubit_dicke_states_match_symmetrized_products():
         PS = symmetrizer(N, 2)
         for k in range(N + 1):
             product = np.zeros(2**N, dtype=complex)
-            product[tuple_to_index((0,) * (N - k) + (1,) * k, 2)] = 1.0
+            product[2**k - 1] = 1.0  # |0..0 1..1>
             np.testing.assert_allclose(
                 math.comb(N, k) * (PS @ product),
                 restricted_dicke_vector(N, 2, k),
@@ -228,9 +232,7 @@ def test_dense_cap_rejects_a_value_that_is_not_a_positive_integer(monkeypatch, v
 def test_operators_diagonal_in_dicke_basis_are_real():
     # restricted Dicke vectors have 0/1 entries, so these operators are real
     # symmetric and their eigensolves run in real arithmetic
-    from dsym.oracle import partial_transpose, permutation_operator, witness_matrix
-    from dsym.states import digit_sum_operator
-    from dsym.witnesses import WitnessSpec
+    from dsym.oracle import partial_transpose, witness_matrix
 
     N, d = 3, 3
     spec = StateSpec(N, d, tuple(np.linspace(0.2, 1.0, N * (d - 1) + 1)))
@@ -247,7 +249,7 @@ def test_operators_diagonal_in_dicke_basis_are_real():
         "dual_restricted_dicke": dual_restricted_dicke(N, d, 2),
         "symmetrizer": symmetrizer(N, d),
         "permutation_operator": permutation_operator((1, 2, 0), d),
-        # the offset blocks are its entries on `oracle.offset_supports`
+        # the offset blocks are its entries on `paper_objects.offset_supports`
         "partial_transpose": partial_transpose(build_state(spec), (1, 0, 0), d),
     }
     for name, op in real.items():

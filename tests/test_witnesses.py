@@ -8,13 +8,7 @@ import pytest
 
 from dsym.moment import is_separable
 from dsym.oracle import witness_matrix
-from dsym.states import (
-    StateSpec,
-    build_state,
-    d_symmetrizer,
-    sigma_z,
-    top_product_state,
-)
+from dsym.states import StateSpec, build_state
 from dsym.witnesses import (
     WitnessSpec,
     family_u_length,
@@ -22,6 +16,7 @@ from dsym.witnesses import (
 )
 
 from conftest import geometric_p, random_spec
+from paper_objects import d_symmetrizer, sigma_z, top_product_state
 
 
 def dense_witness(family, coeffs, N, d):
