@@ -16,9 +16,9 @@ semidefiniteness), each classified with a relative tolerance band by
 `PsdCheck.from_extremes`.  `is_psd` is its validated one-matrix entry.  The
 m-PPT blocks of one size are decided as stacks of consecutive offsets, one
 kernel call per stack, in offset order up to the first stack that holds a
-not-psd block (the later blocks are reported as skipped); large checks
-decide their stacks concurrently on a thread pool of their own (see
-`is_m_ppt`).  dsym has no setting for this: it follows the CPU affinity and
+not-psd block (the later blocks are reported as skipped); block 0 goes
+first and alone, and the stacks after it of a large check go to a thread
+pool of their own (see `is_m_ppt`).  dsym has no setting for this: it follows the CPU affinity and
 the BLAS thread count of the environment.
 A min eigenvalue below -band is decisive; inside the band, values that are
 too negative to be rounding of an exact zero (below -band/100) are surfaced
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -166,47 +165,6 @@ def _threads() -> int:
     return cpus // blas
 
 
-def _decide_in_order(decide, stacks: list, threads: int) -> list:
-    """[decide(stack) for stack in stacks] up to and including the first stack
-    whose records hold a not-psd one.
-
-    With threads > 1 and more than one stack, the stacks go to a pool of
-    `threads` worker threads that lives for this call only.  The results are
-    read in offset order up to the first failing stack, so they are the
-    serial ones whatever the timing.  A worker whose stack fails or raises
-    cancels the later stacks before it takes another; the stacks not yet
-    started are cancelled, and the workers joined, before this returns or
-    raises."""
-    pool, decided = None, []
-    try:
-        results = map(decide, stacks)
-        if threads > 1 and len(stacks) > 1:
-            # imported here so that importing dsym does not pay for it
-            from concurrent.futures import ThreadPoolExecutor
-
-            pool = ThreadPoolExecutor(threads, thread_name_prefix="dsym-ppt")
-            futures = [pool.submit(decide, stack) for stack in stacks]
-            for i, future in enumerate(futures):
-                future.add_done_callback(partial(_cancel_after, futures, i))
-            results = (future.result() for future in futures)
-        for records in results:
-            decided.append(records)
-            if _fails(records):
-                break
-        return decided
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
-
-
-def _cancel_after(futures: list, i: int, future) -> None:
-    """Done callback of stack i, run by its worker before it takes another
-    stack: cancels the later stacks when stack i raised or failed."""
-    if not future.cancelled() and (future.exception() is not None or _fails(future.result())):
-        for later in futures[i + 1 :]:
-            later.cancel()
-
-
 def _fails(records) -> bool:
     return any(r.status == NOT_PSD for r in records)
 
@@ -273,12 +231,13 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     alone).  Stacks are decided in offset order up to the first that holds a
     not-psd block, which settles the verdict; every block after that stack
     gets a record with status "skipped" and no eigenvalues, band or margin.
-    When the blocks total more than STACK_BYTES and each fits in it, the
-    stacks are decided concurrently (eigvalsh releases the GIL) by a pool the
-    call opens for itself, one stack per worker at a time (see `_threads`
-    and `_decide_in_order`); the records come back in offset order with the
-    same bits and skipped blocks whatever the timing.  Raises ValueError
-    when a block's spectrum overflows.
+    When the blocks fill more than one stack, block 0 is a stack of its own,
+    decided first on the calling thread: a check that fails there costs one
+    eigensolve.  When two or more stacks remain and each block fits in
+    STACK_BYTES, they are decided (eigvalsh releases the GIL) by a pool of
+    `_threads()` workers that the call opens for itself, and read in offset
+    order, so the records have the same bits and skipped blocks whatever the
+    timing.  Raises ValueError when a block's spectrum overflows.
     """
     N, d = spec.N, spec.d
     if not 1 <= m <= N // 2:
@@ -291,21 +250,42 @@ def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport
     # every offset is >= 0, so block s has shift s and rows k = 0..min(a, b - s),
     # k the transposed group's digit sum (at most a) and k + s the other's
     a, b = m * (d - 1), (N - m) * (d - 1)
-    stacks, total = [], 0
+    stacks = []
     for size, group in groupby(offsets, key=lambda s: min(a, b - s) + 1):
         group = np.array(list(group))
         step = max(1, STACK_BYTES // (8 * size * size))
         stacks += [(size, group[i : i + step]) for i in range(0, len(group), step)]
-        total += 8 * size * size * len(group)
+    if len(stacks) > 1 and len(stacks[0][1]) > 1:
+        # block 0 alone: a check that fails there ends before any pool starts
+        size, shifts = stacks[0]
+        stacks[:1] = [(size, shifts[:1]), (size, shifts[1:])]
 
     def decide(stack):
         size, shifts = stack
         H = hankel(p, size, shifts)
         return psd_checks(H, tol, cls=BlockRecord, s=shifts.tolist(), size=[size] * len(shifts))
 
+    decided = [decide(stacks[0])]
+    rest = [] if _fails(decided[0]) else stacks[1:]
     # a block larger than the cap is decided alone, on the calling thread
-    pooled = total > STACK_BYTES >= 8 * (a + 1) ** 2
-    decided = _decide_in_order(decide, stacks, _threads() if pooled else 1)
+    threads = _threads() if len(rest) > 1 and 8 * (a + 1) ** 2 <= STACK_BYTES else 1
+    pool = None
+    try:
+        results = map(decide, rest)
+        if threads > 1:
+            # imported here so that importing dsym does not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(threads, thread_name_prefix="dsym-ppt")
+            results = pool.map(decide, rest)
+        for records in results:
+            decided.append(records)
+            if _fails(records):
+                break
+    finally:
+        # the stacks no worker has started are cancelled, and the workers joined
+        if pool:
+            pool.shutdown(cancel_futures=True)
     records = [r for stack_records in decided for r in stack_records]
     records += [
         BlockRecord(SKIPPED, None, None, None, s=s, size=size)

@@ -19,7 +19,7 @@ from dsym.moment import (
 )
 from dsym.oracle import dense_ppt_check
 from dsym.ppt import is_m_ppt, is_psd
-from dsym.states import StateSpec, build_state
+from dsym.states import StateSpec, build_state, composition_counts
 
 from conftest import PPT_ENTANGLED_P, SYMMETRIZER_P, geometric_p, random_spec
 
@@ -113,6 +113,65 @@ def test_symmetrizer_blocks_and_moment_hankel_exactly():
     ]
     assert all(m > 0 for m in minors) and min(minors) == Fraction(1, 10584)
     assert det([[p[k + l] for l in range(4)] for k in range(4)]) == Fraction(-793, 1037232)
+
+
+def exact_psd(A) -> bool:
+    """Whether a symmetric matrix of Fractions is PSD, by symmetric
+    elimination on its largest diagonal entry: a negative pivot, or a zero
+    pivot whose row is not zero, leaves a vector x with x^T A x < 0."""
+    while A:
+        i = max(range(len(A)), key=lambda k: A[k][k])
+        pivot, row = A[i][i], A[i]
+        if pivot < 0 or (pivot == 0 and any(row)):
+            return False
+        # the Schur complement of the pivot; a zero row is only dropped
+        A = [
+            [x - r[i] * row[j] / pivot if pivot else x for j, x in enumerate(r) if j != i]
+            for k, r in enumerate(A)
+            if k != i
+        ]
+    return True
+
+
+# The D-symmetrizer projector p_k = 1/c_k, c_k the composition counts: the
+# first m at which it is not m-PPT, None where it is m-PPT at every m.  The
+# qubit ones are separable, the others entangled.
+SYMMETRIZER_FIRST_NPT = {
+    **{(N, 2): None for N in range(2, 9)},
+    # even N: not PPT at m = N/2
+    (4, 3): 2, (6, 3): 2, (8, 3): 3, (4, 4): 1, (6, 4): 2,
+    # odd N: 1-PPT but not 2-PPT, or not even 1-PPT
+    (5, 3): 2, (7, 3): 2, (3, 4): 1, (3, 5): 1,
+}
+
+
+@pytest.mark.parametrize("N, d", SYMMETRIZER_FIRST_NPT)
+def test_symmetrizer_projectors_decided_exactly(N, d):
+    # every sufficient m-PPT block and both moment Hankels, decided in exact
+    # arithmetic, give the float verdicts, and so does the dense oracle where
+    # d^N <= 4096
+    counts = composition_counts(N, d)
+    exact = [Fraction(1, int(c)) for c in counts]
+    spec = StateSpec(N, d, tuple(1 / counts))
+    rho = build_state(spec) if d**N <= 4096 else None
+
+    def hankel(size, shift):
+        return [[exact[k + l + shift] for l in range(size)] for k in range(size)]
+
+    first = SYMMETRIZER_FIRST_NPT[N, d]
+    for m in range(1, N // 2 + 1):
+        a, b = m * (d - 1), (N - m) * (d - 1)
+        offsets = (0, 1) if N == 2 * m else range(b - a + 1)
+        ppt = all(exact_psd(hankel(min(a, b - s) + 1, s)) for s in offsets)
+        assert ppt == (first is None or m < first), m
+        assert is_m_ppt(spec, m).verdict == ("ppt" if ppt else "not-ppt")
+        if rho is not None:
+            status, _, _ = dense_ppt_check(rho, (1,) * m + (0,) * (N - m), d)
+            assert status == ("psd" if ppt else "not-psd")
+    L = N * (d - 1)
+    separable = exact_psd(hankel(L // 2 + 1, 0)) and exact_psd(hankel((L - 1) // 2 + 1, 1))
+    assert separable == (d == 2)
+    assert is_separable(spec).verdict == ("separable" if separable else "entangled")
 
 
 def test_feasibility_examples():

@@ -341,15 +341,23 @@ def two_cpus(monkeypatch):
     yield started
 
 
+def atomic_spec(N):
+    """The qubit state whose p are the moments of three atoms: every m-PPT
+    block is PSD, so every stack is decided."""
+    nodes, weights = np.array([0.3, 0.8, 1.02]), np.array([0.5, 0.3, 0.2])
+    return StateSpec(N, 2, tuple(weights @ nodes[:, None] ** np.arange(N + 1)))
+
+
 def stack_end(N, d, m, i):
     """Index one past the last block of the stack that holds block i of
     is_m_ppt's blocks: stacks are runs of equally sized blocks, cut every
-    STACK_BYTES // (8 * size**2) blocks (at least one)."""
+    STACK_BYTES // (8 * size**2) blocks (at least one), except that block 0
+    is a stack of its own when the blocks fill more than one stack."""
     sizes = [len(hankel_block(np.zeros(N * (d - 1) + 1), N, d, m, s)) for s in ppt_offsets(N, d, m)]
     group = sizes.index(sizes[i])
     step = max(1, STACK_BYTES // (8 * sizes[i] ** 2))
-    end = group + ((i - group) // step + 1) * step
-    return min(end, group + sizes.count(sizes[i]))
+    end = min(group + ((i - group) // step + 1) * step, group + sizes.count(sizes[i]))
+    return 1 if i == 0 and end < len(sizes) else end
 
 
 def ppt_offsets(N, d, m):
@@ -370,6 +378,7 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
     # an atomic-measure sequence, whose blocks are all PSD
     nodes, weights = rng.uniform(0.1, 1.5, 3), rng.uniform(0.1, 1.0, 3)
     specs.append(StateSpec(N, d, tuple(weights @ nodes[:, None] ** np.arange(N * (d - 1) + 1))))
+    block_0_passed = 0
     for atomic, spec in enumerate(specs):
         # every block of the sufficient set, decided alone
         reference = []
@@ -382,6 +391,7 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
             monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
             assert report.checked == ppt_offsets(N, d, m)
             refs = [PsdCheck.from_extremes(ev[0], ev[-1], tol) for _, ev in reference]
+            block_0_passed += refs[0].status != "not-psd"
             assert report.verdict == ppt.PPT_WORDS[worst_status(r.status for r in refs)]
             statuses = [r.status for r in refs]
             # decided up to the end of the stack that holds the first failing
@@ -411,7 +421,9 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
     if (N, d, m) in SMALL or 8 * (m * (d - 1) + 1) ** 2 > STACK_BYTES:
         assert not two_cpus
     if (N, d, m) in POOLED:
-        assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"] * 4  # two workers per call
+        # two workers per call whose block 0 passes, at least the atomic spec's
+        assert block_0_passed >= 2
+        assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"] * block_0_passed
 
 
 def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
@@ -420,8 +432,7 @@ def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
     # stack is decided, a stack taken twice or never would change or break
     # the records
     monkeypatch.setattr(ppt, "STACK_BYTES", 1 << 14)
-    nodes, weights = np.array([0.3, 0.8, 1.02]), np.array([0.5, 0.3, 0.2])
-    spec = StateSpec(200, 2, tuple(weights @ nodes[:, None] ** np.arange(201)))
+    spec = atomic_spec(200)
     monkeypatch.setattr(ppt, "_cpus", lambda: 1)
     serial = is_m_ppt(spec, 40)
     assert serial.verdict == "ppt"
@@ -472,6 +483,25 @@ def test_pooled_stop_equals_serial_stop(monkeypatch, two_cpus):
     assert two_cpus
 
 
+def test_early_reject_decides_block_0_alone_on_the_calling_thread(monkeypatch, two_cpus):
+    # one atom at 0.9 with p_2 halved: block 0 of the 201 blocks fails, so the
+    # check ends with one eigvalsh call on block 0, before any pool starts
+    p = 0.9 ** np.arange(401)
+    p[2] /= 2
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def recorded(a):
+        calls.append((a.shape, threading.current_thread()))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    report = is_m_ppt(StateSpec(400, 2, tuple(p)), 100)
+    assert calls == [((1, 101, 101), threading.current_thread())]
+    assert not two_cpus
+    assert report.verdict == "not-ppt" and report.stopped_at == 0
+    assert [r.status for r in report.blocks] == ["not-psd"] + ["skipped"] * 200
+
+
 def test_one_cpu_starts_no_thread(monkeypatch):
     monkeypatch.setattr(ppt, "_cpus", lambda: 1)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -480,8 +510,8 @@ def test_one_cpu_starts_no_thread(monkeypatch):
         raise AssertionError(f"started {thread.name}")
 
     monkeypatch.setattr(threading.Thread, "start", start)
-    spec = StateSpec(400, 2, tuple(np.random.default_rng(3).uniform(0, 1, 401)))
-    assert len(is_m_ppt(spec, 100).blocks) == 201
+    report = is_m_ppt(atomic_spec(400), 100)
+    assert [r.status for r in report.blocks] == ["psd"] * 201
 
 
 def test_threads_leave_room_for_blas(monkeypatch):
@@ -501,61 +531,61 @@ def test_threads_leave_room_for_blas(monkeypatch):
 
 @pytest.mark.parametrize("fails_on", [None, "helper"])
 def test_pooled_call_leaves_no_thread_behind(monkeypatch, two_cpus, fails_on):
-    # every stack of a pooled call is decided on a worker thread, the workers
-    # are joined before is_m_ppt returns or raises, and an eigvalsh failure on
-    # a worker reaches the caller
-    caller, eigvalsh = threading.current_thread(), np.linalg.eigvalsh
+    # only block 0 of a pooled call is decided on the calling thread, every
+    # later stack on a worker; the workers are joined before is_m_ppt returns
+    # or raises, and an eigvalsh failure on a worker reaches the caller
+    caller, on_caller, eigvalsh = threading.current_thread(), [], np.linalg.eigvalsh
 
     def failing(a):
         if threading.current_thread() is caller:
-            raise AssertionError("a pooled stack was decided on the calling thread")
-        if fails_on:
+            on_caller.append(a.shape)
+        elif fails_on:
             raise np.linalg.LinAlgError(f"planted on the {fails_on}")
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
-    spec = StateSpec(400, 2, tuple(np.random.default_rng(6).uniform(0, 1, 401)))
     if fails_on is None:
-        assert len(is_m_ppt(spec, 100).blocks) == 201
+        assert is_m_ppt(atomic_spec(400), 100).verdict == "ppt"
     else:
         with pytest.raises(np.linalg.LinAlgError, match=f"planted on the {fails_on}"):
-            is_m_ppt(spec, 100)
+            is_m_ppt(atomic_spec(400), 100)
+    assert on_caller == [(1, 101, 101)]
     assert not [t for t in threading.enumerate() if t.name.startswith("dsym-ppt")]
     assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"]
 
 
 def test_worker_failure_cancels_the_stacks_not_started(monkeypatch, two_cpus):
-    # a PSD check of 17 stacks whose first stack raises on a worker: that
-    # worker cancels the later stacks, and the caller, reading the stacks in
-    # order, gets the error at once.  Every other decision is held back for a
-    # while, so that none ends before the cancellation; only the stack the
-    # other worker holds, and at most one more taken while the stacks are
-    # still being handed out, are decided
-    nodes, weights = np.array([0.3, 0.8, 1.02]), np.array([0.5, 0.3, 0.2])
-    p = weights @ nodes[:, None] ** np.arange(401)
-    stacks = -(-201 // (STACK_BYTES // (8 * 101**2)))
-    assert stacks == 17
+    # a PSD check of 18 stacks, block 0 alone first, whose first pooled stack
+    # raises on a worker: the caller, reading the stacks in order, gets the
+    # error, and the stacks no worker has started are cancelled.  Every other
+    # decision is held back for a while, so that none ends before the
+    # cancellation; only block 0, the stack the other worker holds, and at
+    # most one more that the failing worker takes before the caller wakes,
+    # are decided
+    p = atomic_spec(400).p
+    stacks = 1 + -(-201 // (STACK_BYTES // (8 * 101**2)))
+    assert stacks == 18
     calls, eigvalsh = [], np.linalg.eigvalsh
 
     def failing(a):
         calls.append(len(a))
-        if a[0, 0, 0] == p[0] and threading.current_thread().name.startswith("dsym-ppt"):
+        if a[0, 0, 0] == p[1] and threading.current_thread().name.startswith("dsym-ppt"):
             raise np.linalg.LinAlgError("planted on a worker")
         time.sleep(0.5)
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", failing)
     with pytest.raises(np.linalg.LinAlgError, match="planted on a worker"):
-        is_m_ppt(StateSpec(400, 2, tuple(p)), 100)
+        is_m_ppt(StateSpec(400, 2, p), 100)
     assert not [t for t in threading.enumerate() if t.name.startswith("dsym-ppt")]
     assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"]
-    assert 2 <= len(calls) <= 3 < stacks
+    assert 3 <= len(calls) <= 4 < stacks
 
 
 def test_interrupted_caller_cancels_the_stacks_not_started(monkeypatch, two_cpus):
-    # the caller gives up while it waits for stack 0 (an error of its own, not
-    # of a decision): the stacks no worker has started are cancelled, and the
-    # workers finish the one each holds and are joined
+    # the caller gives up while it waits for the first pooled stack (an error
+    # of its own, not of a decision): the stacks no worker has started are
+    # cancelled, and the workers finish the one each holds and are joined
     class Interrupted(Exception):
         pass
 
@@ -566,8 +596,6 @@ def test_interrupted_caller_cancels_the_stacks_not_started(monkeypatch, two_cpus
             raise Interrupted
         return result(future, timeout)
 
-    nodes, weights = np.array([0.3, 0.8, 1.02]), np.array([0.5, 0.3, 0.2])
-    spec = StateSpec(400, 2, tuple(weights @ nodes[:, None] ** np.arange(401)))
     calls, eigvalsh = [], np.linalg.eigvalsh
 
     def held_back(a):
@@ -578,26 +606,10 @@ def test_interrupted_caller_cancels_the_stacks_not_started(monkeypatch, two_cpus
     monkeypatch.setattr(Future, "result", interrupted)
     monkeypatch.setattr(np.linalg, "eigvalsh", held_back)
     with pytest.raises(Interrupted):
-        is_m_ppt(spec, 100)
+        is_m_ppt(atomic_spec(400), 100)
     assert not [t for t in threading.enumerate() if t.name.startswith("dsym-ppt")]
-    assert 1 <= len(calls) <= 2
-
-
-def test_failing_or_raising_stack_cancels_the_later_stacks():
-    # the done callback of pooled stack 1: a not-psd record or an error
-    # cancels the later stacks not yet started (3, not 2, which a worker
-    # holds), and never an earlier one (0) or any on a psd stack
-    psd = [ppt.BlockRecord.from_extremes(0.5, 2.0, 1e-10, s=1, size=2)]
-    not_psd = [ppt.BlockRecord.from_extremes(-0.5, 2.0, 1e-10, s=1, size=2)]
-    for outcome in ("psd", "not-psd", "error"):
-        futures = [Future() for _ in range(4)]
-        futures[2].set_running_or_notify_cancel()
-        if outcome == "error":
-            futures[1].set_exception(np.linalg.LinAlgError("planted"))
-        else:
-            futures[1].set_result(psd if outcome == "psd" else not_psd)
-        ppt._cancel_after(futures, 1, futures[1])
-        assert [f.cancelled() for f in futures] == [False, False, False, outcome != "psd"]
+    assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"]
+    assert 2 <= len(calls) <= 3  # block 0, then at most one stack per worker
 
 
 def test_overflowed_spectrum_raises():
@@ -614,7 +626,7 @@ def test_overflowed_spectrum_raises():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_pooled_call_in_forked_child(two_cpus):
     # the child of a process that has run a pooled call decides pooled too
-    spec = StateSpec(400, 2, tuple(np.random.default_rng(4).uniform(0, 1, 401)))
+    spec = atomic_spec(400)
     expected = is_m_ppt(spec, 100)
     assert two_cpus == ["dsym-ppt_0", "dsym-ppt_1"]
     pid = os.fork()
