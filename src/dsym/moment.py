@@ -6,11 +6,11 @@ Hankel matrices (p_{k+l}) and (p_{k+l+1}) are positive semidefinite; the
 measure may place an extra nonnegative mass M on the top moment p_n.  A
 feasible sequence is certified constructively.  The sequence is rescaled once,
 q_k = p_k / c^k, so its moments are of order one; the classical three-term
-recurrence of q (Chebyshev algorithm -> Jacobi matrix truncated at its
-numerical rank -> eigenvalues) gives Gauss nodes and weights, and the nodes
-are mapped back by c.  For even n a rule with one node pinned at 0 is tried
-first, then the Gauss rule; the first that reproduces every moment within
-tolerance is the certificate.
+recurrence of a window of q (Chebyshev algorithm -> Jacobi matrix truncated
+at its numerical rank -> eigenvalues) gives Gauss nodes and weights, mapped
+back by c.  For every n, the rule pinned at 0 on the longest odd-length window
+is tried first, then the Gauss rule on the longest even-length window; the
+first that reproduces every moment, p_n's surplus as top mass, is the certificate.
 """
 
 from __future__ import annotations
@@ -133,17 +133,15 @@ class MeasureAtoms:
         return out
 
 
-def _recurrence_from_moments(mom: np.ndarray, K: int):
+def _recurrence_from_moments(mom: np.ndarray):
     """Three-term recurrence coefficients (alphas, betas) of the orthogonal
-    polynomials of the measure behind `mom`, via the Chebyshev algorithm.
+    polynomials of the measure behind the moment window `mom`, via the
+    Chebyshev algorithm.
 
-    Returns up to K coefficient pairs with betas[0] = mom[0]; stops early at
-    the numerical rank of the measure (vanishing squared norm).  Requires
-    len(mom) >= 2K.
+    Returns up to K = len(mom) // 2 coefficient pairs with betas[0] = mom[0];
+    stops early at the numerical rank of the measure (vanishing squared norm).
     """
-    L = len(mom) - 1
-    if 2 * K - 1 > L:
-        raise ValueError("not enough moments for the requested recurrence length")
+    L, K = len(mom) - 1, len(mom) // 2
     if K == 0 or mom[0] <= 0:
         return np.zeros(0), np.zeros(0)
     alphas = [mom[1] / mom[0]]
@@ -167,12 +165,14 @@ def _recurrence_from_moments(mom: np.ndarray, K: int):
     return np.array(alphas), np.array(betas)
 
 
-def _gauss_rule(alphas: np.ndarray, betas: np.ndarray):
-    """Gauss nodes/weights of the Jacobi matrix of a recurrence.
+def _gauss_rule(mom: np.ndarray):
+    """Gauss nodes/weights for the moment window `mom`, of even length 2K,
+    from the Jacobi matrix of its recurrence (at most K nodes).
 
     Nodes are Jacobi-matrix eigenvalues; weights are the squared first
     eigenvector components scaled by the total mass betas[0].
     """
+    alphas, betas = _recurrence_from_moments(mom)
     r = len(alphas)
     if r == 0:
         return np.zeros(0), np.zeros(0)
@@ -232,12 +232,13 @@ def _evaluate_candidate(atom_list, p: np.ndarray, bound: float) -> MeasureAtoms:
 
 
 def _radau_rule(q: np.ndarray):
-    """Rule with one node pinned at 0 for the moments q_0..q_n, n even, from
-    the Gauss rule of the shifted sequence q_1..q_n."""
-    # q_1..q_n are the raw moments of t*dsigma; dividing its Gauss weights by
-    # the nodes recovers sigma away from 0, and the mass balance pins the
+    """Rule with one node pinned at 0 for an odd-length window q_0..q_{2K},
+    from the Gauss rule of q_1..q_{2K}: the lower principal representation,
+    whose q_{2K+1} is the least of any measure representing the window."""
+    # q_1..q_{2K} are the raw moments of t*dsigma; dividing its Gauss weights
+    # by the nodes recovers sigma away from 0, and the mass balance pins the
     # weight at 0.
-    nodes, u = _gauss_rule(*_recurrence_from_moments(q[1:], (len(q) - 1) // 2))
+    nodes, u = _gauss_rule(q[1:])
     if len(nodes) and np.min(nodes) <= 1e-10 * (1.0 + np.max(nodes)):
         raise _Rejected(len(nodes) + 1, f"non-positive node {np.min(nodes):.3e}")
     weights = u / nodes
@@ -255,15 +256,16 @@ def recover_atomic_measure(p, tol: float = DEFAULT_RESIDUAL_TOL) -> MeasureAtoms
     The sequence is rescaled once to q_k = p_k / c^k with
     c = (p_{n-1} / p_0)^{1/(n-1)}, so the Chebyshev algorithm sees moments of
     order one.  At most two rules are built, each from one recurrence, and
-    the first whose atoms (nodes mapped back by c) reproduce p within
-    tol * max|p| wins: for even n, the rule with one node pinned at 0 from the
-    shifted sequence q_1..q_n, which matches all moments exactly whenever
-    possible; then the Gauss rule of q, truncated at the recurrence's
-    numerical rank, with the surplus on the top moment.  Neither p_{n-1}/p_0,
-    the powers c^k nor an atom's powers t^k need lie in the float range for q
-    and the moments to (see `_times_power`).  Raises ValueError unless p is
-    a nonempty 1-d sequence of finite numbers, and RecoveryError naming each
-    rule and why it was rejected (the feasibility verdict is unaffected).
+    the first whose atoms (nodes mapped back by c), with the surplus of p_n
+    as the top mass, reproduce p within tol * max|p| wins: the rule pinned at
+    0 on the longest odd-length window of q, whose next moment is the least
+    of any measure representing that window; then the Gauss rule on the
+    longest even-length window, truncated at the recurrence's numerical
+    rank.  Neither p_{n-1}/p_0, the powers c^k nor an atom's powers t^k need
+    lie in the float range for q and the moments to (see `_times_power`).
+    Raises ValueError unless p is a nonempty 1-d sequence of finite numbers,
+    and RecoveryError naming each rule and why it was rejected (the
+    feasibility verdict is unaffected).
     """
     p = _sequence(p)
     n = len(p) - 1
@@ -284,12 +286,10 @@ def recover_atomic_measure(p, tol: float = DEFAULT_RESIDUAL_TOL) -> MeasureAtoms
     q = _times_power(p, c, np.arange(n + 1), divide=True)
 
     rejected = []
-    for kind in ("radau", "gauss") if n >= 2 and n % 2 == 0 else ("gauss",):
+    rules = (("radau", _radau_rule, q[: n + 1 - n % 2]), ("gauss", _gauss_rule, q[: n + n % 2]))
+    for kind, rule, window in rules:
         try:
-            if kind == "radau":
-                nodes, weights = _radau_rule(q)
-            else:
-                nodes, weights = _gauss_rule(*_recurrence_from_moments(q, (n + 1) // 2))
+            nodes, weights = rule(window)
             return _evaluate_candidate(_clean_atoms(c * nodes, weights, n, scale), p, bound)
         except _Rejected as exc:
             count, reason = exc.args

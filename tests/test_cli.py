@@ -371,6 +371,21 @@ def test_geometric_certificate_at_large_n(tmp_path, capsys, N):
     assert measure["top_mass"] == 0.0
 
 
+def test_decompose_odd_n_with_more_atoms_than_gauss_nodes(tmp_path, capsys):
+    # six qubit atoms and a top mass at n = 9, more atoms than the Gauss
+    # rule's five nodes: the rule pinned at 0 on p_0..p_8 certifies the state
+    nodes = np.linspace(0.25, 1.5, 6)
+    p = 0.5 * (nodes[:, None] ** np.arange(10)).sum(axis=0)
+    p[9] *= 1.5
+    path = write_spec(tmp_path, {"N": 9, "d": 2, "p": list(p)})
+    code, report = run(capsys, ["decompose", path])
+    assert code == 0
+    cert = report["certificate"]
+    assert cert["type"] == "ensemble"
+    assert cert["reconstruction_error"] < 1e-10
+    assert any(t["vector"] == "top" for t in cert["terms"])
+
+
 def test_empty_far_atom_is_refused_on_its_residual(tmp_path, capsys):
     # a separable spec whose rule pinned at 0 has an empty atom with NaN top
     # moment; the report stays strict JSON (run rejects NaN) and names the

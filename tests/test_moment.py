@@ -256,12 +256,20 @@ def test_recover_fails_on_infeasible():
 
 
 def test_recovery_error_names_each_rejected_rule():
-    with pytest.raises(RecoveryError) as raised:
-        recover_atomic_measure(PPT_ENTANGLED_P)
-    message = str(raised.value)
-    assert message.startswith("no atomic measure met the residual bound 1.000e-09: ")
-    assert "radau rule, 4 atoms: negative weight at 0" in message
-    assert "gauss rule, 3 atoms: negative top mass" in message
+    # the 3-qutrit counterexample (n = 6), and p_0 p_2 < p_1^2 at odd n = 3
+    cases = [
+        (PPT_ENTANGLED_P, "1.000e-09", ("radau rule, 4 atoms: negative weight at 0",
+                                        "gauss rule, 3 atoms: negative top mass")),
+        ((1.0, 2.0, 1.0, 2.0), "2.000e-09", ("radau rule, 2 atoms: negative weight at 0",
+                                             "gauss rule, 1 atom: negative top mass")),
+    ]
+    for p, bound, reasons in cases:
+        with pytest.raises(RecoveryError) as raised:
+            recover_atomic_measure(p)
+        message = str(raised.value)
+        assert message.startswith(f"no atomic measure met the residual bound {bound}: ")
+        for reason in reasons:
+            assert reason in message
 
 
 def test_recovery_drops_an_empty_far_atom():
@@ -347,6 +355,35 @@ def test_recover_atom_mixtures_at_length(r, length):
         assert np.max(np.abs(rec.reproduced(length - 1) - p)) <= 1e-9 * p.max()
 
 
+@pytest.mark.parametrize("n", [7, 9, 11])
+def test_recover_odd_length_mixture_with_top_mass(n):
+    # 5-6 atoms and a raised p_n: at odd n the Gauss rule fits p_n too, with
+    # at most (n + 1) / 2 nodes that may leave [0, inf); the rule pinned at 0
+    # on p_0..p_{n-1} is their lower principal representation, so the surplus
+    # of p_n over it is a nonnegative top mass
+    rng = np.random.default_rng(n)
+    for _ in range(24):
+        r = int(rng.integers(5, 7))
+        p = atoms_moments(rng.uniform(0.0, 1.5, r), rng.uniform(0.1, 1.0, r), n)
+        p[n] *= 1.0 + rng.uniform(0.1, 1.0)
+        rec = recover_atomic_measure(p)
+        assert np.max(np.abs(rec.reproduced(n) - p)) <= 1e-9 * p.max()
+        assert rec.top_mass > 0
+        assert all(t >= 0 and w > 0 for t, w in rec.atoms)
+
+
+CLUSTERED = "ROADMAP item 2: both recurrence rules miss six clustered atoms at length 61"
+
+
+@pytest.mark.xfail(strict=True, raises=RecoveryError, reason=CLUSTERED)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_recover_six_clustered_atoms_at_length_61(seed):
+    rng = np.random.default_rng(seed)
+    p = atoms_moments(rng.uniform(0.5, 1.5, 6), rng.uniform(0.1, 1.0, 6), 60)
+    rec = recover_atomic_measure(p)
+    assert np.max(np.abs(rec.reproduced(60) - p)) <= 1e-9 * p.max()
+
+
 def test_recovery_builds_at_most_two_recurrences(count_calls):
     import dsym.moment
 
@@ -354,6 +391,7 @@ def test_recovery_builds_at_most_two_recurrences(count_calls):
     sequences = (
         [2.0**k for k in range(49)],  # the rule pinned at 0 is accepted
         atoms_moments([0.5, 2.0], [1.0, 1.0], 8, top_mass=0.3),  # then Gauss
+        atoms_moments([1e-4, 2.0], [1.0, 1.0], 5, top_mass=0.3),  # then Gauss, odd n
         PPT_ENTANGLED_P,  # both rules rejected
     )
     for p in sequences:
