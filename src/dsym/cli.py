@@ -55,6 +55,19 @@ def _integer(data: dict, key: str) -> int:
     return value
 
 
+def _coefficient(entry) -> float:
+    """One entry of p as a float: a JSON number, or an exact rational string
+    like "1/9" converted once."""
+    if isinstance(entry, float):
+        return entry
+    if isinstance(entry, bool) or not isinstance(entry, (str, int)):
+        raise ValueError(f"coefficient entries must be numbers or strings, got {entry!r}")
+    try:
+        return float(Fraction(entry)) if isinstance(entry, str) else float(entry)
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"coefficient {entry!r} is not a finite number: {exc}") from exc
+
+
 def parse_spec_dict(data: dict) -> StateSpec:
     if not isinstance(data, dict):
         raise ValueError("spec file must contain a JSON object")
@@ -65,15 +78,7 @@ def parse_spec_dict(data: dict) -> StateSpec:
     d = _integer(data, "d")
     if not isinstance(data["p"], list):
         raise ValueError(f"p must be a list of coefficients, got {data['p']!r}")
-    p = []
-    for entry in data["p"]:
-        if isinstance(entry, bool) or not isinstance(entry, (str, int, float)):
-            raise ValueError(f"coefficient entries must be numbers or strings, got {entry!r}")
-        try:
-            p.append(float(Fraction(entry)) if isinstance(entry, str) else float(entry))
-        except (ZeroDivisionError, OverflowError) as exc:
-            raise ValueError(f"coefficient {entry!r} is not a finite number: {exc}") from exc
-    return StateSpec(N=N, d=d, p=tuple(p))
+    return StateSpec(N=N, d=d, p=tuple([_coefficient(entry) for entry in data["p"]]))
 
 
 def _tolerance(text: str) -> float:
@@ -128,21 +133,17 @@ def _separability_json(v: SeparabilityVerdict) -> dict:
 
 
 def _ppt_json(report: PPTReport) -> dict:
+    columns = zip(
+        report.s, report.size, report.lam_min, report.lam_max, report.margin, report.status
+    )
     return {
         "m": report.m,
         "verdict": report.verdict,
         "checked_offsets": list(report.checked),
         "stopped_at": report.stopped_at,
         "blocks": [
-            {
-                "s": b.s,
-                "size": b.size,
-                "lam_min": b.lam_min,
-                "lam_max": b.lam_max,
-                "margin": b.margin,
-                "status": b.status,
-            }
-            for b in report.blocks
+            {"s": s, "size": size, "lam_min": lo, "lam_max": hi, "margin": margin, "status": status}
+            for s, size, lo, hi, margin, status in columns
         ],
     }
 

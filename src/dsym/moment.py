@@ -107,7 +107,7 @@ def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentChe
     a single eigendecomposition whose lowest eigenvector is kept for the
     witness.  Raises ValueError unless p is a nonempty 1-d sequence of finite
     numbers."""
-    even, odd = (psd_checks(h[None], tol, vectors=True)[0] for h in moment_hankels(p))
+    even, odd = (psd_checks(h[None], tol, vectors=True).check(0) for h in moment_hankels(p))
     return MomentCheck(MOMENT_WORDS[worst_status((even.status, odd.status))], even, odd)
 
 

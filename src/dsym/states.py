@@ -125,15 +125,15 @@ class StateSpec:
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
         expected = self.N * (self.d - 1) + 1
-        p = tuple(float(x) for x in self.p)
+        p = tuple(map(float, self.p))
         if len(p) != expected:
             raise ValueError(
                 f"coefficient sequence must have length N(d-1)+1 = {expected}, "
                 f"got {len(p)}"
             )
-        if not all(math.isfinite(x) for x in p):
+        if not all(map(math.isfinite, p)):
             raise ValueError("coefficients p_k must be finite")
-        if any(x < 0 for x in p):
+        if min(p) < 0:
             raise ValueError("coefficients p_k must be nonnegative")
         object.__setattr__(self, "p", p)
 

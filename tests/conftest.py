@@ -1,9 +1,10 @@
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dsym import StateSpec
+from dsym import StateSpec, ppt
 from dsym.states import digit_table
 
 # Three-qutrit sequence that is 1-PPT but entangled: the boundary case
@@ -78,3 +79,19 @@ def count_calls(monkeypatch):
         return counts
 
     return install
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Decide m-PPT stacks as on two CPUs with one BLAS thread; yields the
+    names of the threads started meanwhile."""
+    monkeypatch.setattr(ppt, "_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    started, start = [], threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    yield started

@@ -16,7 +16,9 @@ import dsym.oracle
 from dsym.cli import main, parse_spec_dict
 from dsym.decompose import ensemble_from_measure, separable_ensemble
 from dsym.moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, RecoveryError, is_separable
+from dsym import ppt
 from dsym.ppt import DEFAULT_PSD_TOL
+from dsym.states import StateSpec
 
 from conftest import SYMMETRIZER_P, far_atom_p, fourier_terms, geometric_p
 
@@ -163,6 +165,104 @@ def test_check_ppt_lists_skipped_blocks(tmp_path, capsys):
     assert skipped == {
         "s": 1, "size": 1, "lam_min": None, "lam_max": None, "margin": None, "status": "skipped"
     }
+
+
+def _reference_rows(p, N, d, m, tol=DEFAULT_PSD_TOL):
+    """The check-ppt rows of every block of the sufficient set, each block
+    eigensolved alone and classified by the band rule written out."""
+    a, b = m * (d - 1), (N - m) * (d - 1)
+    offsets = (0, 1) if N == 2 * m else range((N - 2 * m) * (d - 1) + 1)
+    rows = []
+    for s in offsets:
+        k = np.arange(min(a, b - s) + 1)
+        ev = np.linalg.eigvalsh(np.asarray(p)[k[:, None] + k + s])
+        lam_min, lam_max = float(ev[0]), float(ev[-1])
+        band = tol * max(1.0, lam_max)
+        if lam_min < -band:
+            status = "not-psd"
+        elif lam_min < -band * ppt.NOISE_FRACTION:
+            status = "marginal"
+        else:
+            status = "psd"
+        rows.append((s, len(k), lam_min.hex(), lam_max.hex(), (lam_min + band).hex(), status))
+    return rows
+
+
+def _rows(report):
+    """The report's rows in the form of `_reference_rows`, floats as hex."""
+
+    def hexed(x):
+        return None if x is None else x.hex()
+
+    return [
+        (b["s"], b["size"], *(hexed(b[k]) for k in ("lam_min", "lam_max", "margin")), b["status"])
+        for b in report["ppt"]["blocks"]
+    ]
+
+
+def _moments(n, nodes=(0.3, 0.8, 1.02), weights=(0.5, 0.3, 0.2)):
+    """p_k = sum_a w_a t_a^k, k = 0..n: separable, so PPT at every m."""
+    return (np.asarray(weights) @ np.asarray(nodes)[:, None] ** np.arange(n + 1)).tolist()
+
+
+@pytest.mark.parametrize("N, m", [(200, 1), (400, 100)], ids=["m=1", "pooled"])
+def test_check_ppt_rows_are_exact(tmp_path, capsys, two_cpus, N, m):
+    # every row of a PPT check, the 199 two-row blocks at m = 1 and the 201
+    # blocks of 101 rows decided on two worker threads, is the per-block
+    # eigvalsh decision bit for bit
+    p = _moments(N)
+    path = write_spec(tmp_path, {"N": N, "d": 2, "p": p})
+    code, report = run(capsys, ["check-ppt", path, "--m", str(m)])
+    assert code == 0 and report["ppt"]["verdict"] == "ppt"
+    assert _rows(report) == _reference_rows(p, N, 2, m)
+    assert len(two_cpus) == (2 if m > 1 else 0)
+
+
+def test_check_ppt_rows_after_the_failing_stack_are_skipped(tmp_path, capsys, two_cpus):
+    # halving p_250 fails every block of offset 50..200; the blocks of 101
+    # rows are cut 12 to a stack, block 0 then split off, so block 50 is in
+    # the stack 48..59 and the rows from 60 on are skipped, with null numbers
+    p = _moments(400)
+    p[250] /= 2
+    path = write_spec(tmp_path, {"N": 400, "d": 2, "p": p})
+    code, report = run(capsys, ["check-ppt", path, "--m", "100"])
+    assert code == 1
+    ppt_report = report["ppt"]
+    assert (ppt_report["verdict"], ppt_report["stopped_at"]) == ("not-ppt", 50)
+    assert ppt.STACK_BYTES // (8 * 101**2) == 12
+    rows, reference = _rows(report), _reference_rows(p, 400, 2, 100)
+    assert rows[:60] == reference[:60]
+    assert [row[5] for row in rows[:60]].count("not-psd") == 10
+    assert rows[60:] == [(s, 101, None, None, None, "skipped") for s in range(60, 201)]
+
+
+def test_check_ppt_builds_no_block_record(tmp_path, capsys, monkeypatch):
+    # check-ppt reports its rows from the report's columns: it runs with
+    # every PsdCheck and BlockRecord refused, and the records that
+    # PPTReport.blocks builds when read are those columns
+    def refused(self, *args, **kwargs):
+        raise AssertionError("a per-block check was built")
+
+    p = _moments(250)
+    path = write_spec(tmp_path, {"N": 250, "d": 2, "p": p})
+    for cls in (ppt.PsdCheck, ppt.BlockRecord):
+        monkeypatch.setattr(cls, "__init__", refused)
+    for m in ("1", "62"):
+        code, report = run(capsys, ["check-ppt", path, "--m", m])
+        assert code == 0 and report["ppt"]["verdict"] == "ppt"
+    with pytest.raises(AssertionError, match="per-block"):
+        ppt.is_m_ppt(dsym.cli.parse_spec_file(path), 1).blocks
+    monkeypatch.undo()
+    p[120] = 0.0
+    columns = ppt.is_m_ppt(StateSpec(250, 2, tuple(p)), 62)
+    assert columns.status.count("skipped") > 0
+    assert columns.blocks == tuple(
+        ppt.BlockRecord(status, lam_min, lam_max, band, s=s, size=size)
+        for s, size, lam_min, lam_max, band, status in zip(
+            columns.s, columns.size, columns.lam_min, columns.lam_max, columns.band, columns.status
+        )
+    )
+    assert [b.margin for b in columns.blocks] == list(columns.margin)
 
 
 def test_check_ppt_geometric(tmp_path, capsys):

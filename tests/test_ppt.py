@@ -325,22 +325,6 @@ SMALL = [(N, d, m) for d in (2, 3, 4) for N in range(2, 8) for m in range(1, N /
 POOLED = [(400, 2, 100), (160, 3, 40)]
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Decide as on two CPUs with one BLAS thread; yields the names of the
-    threads started meanwhile."""
-    monkeypatch.setattr(ppt, "_cpus", lambda: 2)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    started, start = [], threading.Thread.start
-
-    def recorded(thread):
-        started.append(thread.name)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recorded)
-    yield started
-
-
 def atomic_spec(N):
     """The qubit state whose p are the moments of three atoms: every m-PPT
     block is PSD, so every stack is decided."""
