@@ -40,6 +40,15 @@ from .states import composition_counts, digit_sum_operator, product_powers
 from .witnesses import FAMILY_SHIFT, WitnessSpec
 
 
+def _parties(rho: np.ndarray, d: int) -> int:
+    """N for a (d**N, d**N) matrix."""
+    dim = rho.shape[0]
+    N = round(np.log(dim) / np.log(d))
+    if d**N != dim or rho.shape != (dim, dim):
+        raise ValueError(f"matrix shape {rho.shape} is not (d**N, d**N) for d={d}")
+    return N
+
+
 def _validate_mask(mask, N: int) -> tuple[int, ...]:
     mask = tuple(int(b) for b in mask)
     if len(mask) != N:
@@ -57,16 +66,13 @@ def partial_transpose(rho: np.ndarray, mask, d: int) -> np.ndarray:
     construction.
     """
     rho = np.asarray(rho)
-    dim = rho.shape[0]
-    N = round(np.log(dim) / np.log(d))
-    if d**N != dim or rho.shape != (dim, dim):
-        raise ValueError(f"matrix shape {rho.shape} is not (d**N, d**N) for d={d}")
+    N = _parties(rho, d)
     mask = _validate_mask(mask, N)
     axes = list(range(2 * N))
     for party, bit in enumerate(mask):
         if bit:
             axes[party], axes[N + party] = axes[N + party], axes[party]
-    return rho.reshape((d,) * (2 * N)).transpose(axes).reshape(dim, dim)
+    return rho.reshape((d,) * (2 * N)).transpose(axes).reshape(d**N, d**N)
 
 
 def witness_matrix(w: WitnessSpec) -> np.ndarray:
@@ -100,9 +106,45 @@ def _probe(n: int) -> np.ndarray:
     return probe
 
 
-def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix, from one
-    eigensolve of its quotient by equal rows.
+def _equal_rows(M: np.ndarray) -> np.ndarray:
+    """For each row i of a C-contiguous matrix, the first row j <= i with
+    its hash if the two rows are equal, else i itself.
+
+    The hash is the row's product with ``_probe``; a complex row is hashed
+    as its float view, real and imaginary parts interleaved.  einsum sums
+    every row in one order (a BLAS gemv runs its last rows through another
+    kernel, so equal rows there would hash apart).  A row unlike its
+    candidate is a class of its own, so a hash miss or collision costs
+    quotient size, never correctness: each class is named by its first row.
+    """
+    n = len(M)
+    flat = M.view(M.real.dtype) if np.iscomplexobj(M) else M
+    with np.errstate(invalid="ignore", over="ignore"):  # inf rows hash to nan
+        h = np.einsum("ij,j->i", flat, _probe(flat.shape[1]))
+    order = h.argsort(kind="stable")  # keeps each hash's first row first
+    h = h[order]
+    start = np.empty(n, dtype=bool)
+    start[0] = True
+    np.not_equal(h[1:], h[:-1], out=start[1:])
+    if start.all():
+        return np.arange(n)
+    rep = np.empty(n, dtype=np.intp)
+    rep[order] = order[start][start.cumsum() - 1]
+    # compared in slices of ~2^16 entries: no second n x n array, and faster
+    step = max(1, 2**16 // M.shape[1])
+    same = [(M[i : i + step] == M[rep[i : i + step]]).all(axis=1) for i in range(0, n, step)]
+    return np.where(np.concatenate(same), rep, np.arange(n))
+
+
+def _transposed_extremes(rho: np.ndarray, table: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the partial transpose M of a
+    Hermitian matrix rho, from one eigensolve of M's quotient by equal rows,
+    without building M.
+
+    ``table[i_A, i_B]`` is the index whose transposed digits read i_A and
+    whose kept digits read i_B, so M[(i_A, i_B), (j_A, j_B)] is
+    rho[table[j_A, i_B], table[i_A, j_B]]; the zero mask is the table of
+    one row, where M is rho.
 
     If rows i and j of a Hermitian M are equal, so are columns i and j.
     With one row r per class of equal rows, A = M[r, r] and S the 0/1
@@ -110,44 +152,70 @@ def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
     The spectrum of M is therefore that of C = D^1/2 A D^1/2, plus an
     exact 0 when a class has two rows i and j: e_i - e_j is a null vector.
 
-    Classes are named by a row hash (the product with ``_probe``) and
-    confirmed by one exact compare; a row unlike its candidate is a class
-    of its own, so a hash miss or collision costs quotient size, never
-    correctness.  Every row of M equals one of R = M[r], so the finite test
-    on R tests every entry; and when the columns of R are equal within
-    each class too, M - M^H repeats the entries of A - A^H, so the
-    Hermitian test to 1e-12 * max|M| runs on A, else on M.
+    The classes are found on rho and carried through the mask.  Equal rows
+    of rho (``_equal_rows``) whose columns are equal too make rho[x, y]
+    depend on the classes of x and y alone; a column unlike its class's
+    first is a class of its own.  With T = cls[table], row (i_A, i_B) of
+    M then depends on row i_A and column i_B of T alone, so the pairs of
+    an equal-row class of T and an equal-column class of T split M into
+    classes of equal rows and equal columns.  The first row of such a pair
+    is the sum of the table's entries at the two classes' first indices,
+    and M at those rows and columns is a small gather from rho.  Its equal
+    rows merge the pairs into M's own classes of equal rows, ordered by
+    first row, so the quotient is M[r, r] as read from M itself.
+
+    Every entry of M is an entry of rho and every row of rho equals one of
+    R = rho[r], so the finite test on R tests every entry.  M - M^H holds
+    the entries of rho - rho^H, moved; when rho's classes hold, they repeat
+    those of A - A^H on rho's quotient, so the Hermitian test to
+    1e-12 * max|rho| runs on it, else on rho in slices.
     """
-    M = np.ascontiguousarray(M)  # one layout, so one row hash for every layout
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    n = len(M)
-    if not n:
-        raise ValueError("matrix is empty")
-    # einsum sums every row in one order; a BLAS gemv runs its last rows
-    # through another kernel, so equal rows there would hash apart
-    with np.errstate(invalid="ignore", over="ignore"):  # inf rows hash to nan
-        h = np.einsum("ij,j->i", M, _probe(n))
-    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
-    rep = first[inverse]
-    # compared in slices of ~2^16 entries: no second n x n array, and faster
-    step = max(1, 2**16 // n)
-    same = [(M[i : i + step] == M[rep[i : i + step]]).all(axis=1) for i in range(0, n, step)]
-    rep = np.where(np.concatenate(same), rep, np.arange(n))
-    reps, cls, sizes = np.unique(rep, return_inverse=True, return_counts=True)
-    R = M[reps]
+    n = len(rho)
+    rep = _equal_rows(rho)
+    reps = np.flatnonzero(rep == np.arange(n))
+    R = rho[reps]
     scale = float(abs(R).max())
     if not np.isfinite(scale):
         raise ValueError("matrix has non-finite entries")
-    A = R[:, reps]
-    H = A if (R == A[:, cls]).all() else M
-    if abs(H - H.conj().T).max() > 1e-12 * scale:
+    columns = (R == R[:, rep]).all(axis=0)
+    if columns.all():
+        A = R[:, reps]
+        skew = float(abs(A - A.conj().T).max())
+    else:
+        step = max(1, 2**16 // n)
+        skew = max(float(abs(rho[i : i + step] - rho[:, i : i + step].conj().T).max()) for i in range(0, n, step))
+        rep = np.where(columns, rep, np.arange(n))
+    if skew > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
-    root = np.sqrt(sizes)
-    spectrum = np.linalg.eigvalsh(A * root[:, None] * root[None, :])
-    if len(reps) < n:
+    T = rep[table]
+    # the first index of each class of T's rows and of T's columns, with
+    # the class sizes; the table's entries grow along its rows and columns
+    u = _equal_rows(T)
+    v = _equal_rows(np.ascontiguousarray(T.T))
+    ua, va = np.flatnonzero(u == np.arange(len(u))), np.flatnonzero(v == np.arange(len(v)))
+    order = (table[ua, :1] + table[:1, va]).argsort(axis=None)
+    i, j = np.divmod(order, len(va))
+    a, b = table[ua[i], 0], table[0, va[j]]
+    sizes = np.bincount(u)[ua[i]] * np.bincount(v)[va[j]]
+    Q = rho[a[None, :] + b[:, None], a[:, None] + b[None, :]]
+    merged = _equal_rows(Q)
+    keep = np.flatnonzero(merged == np.arange(len(Q)))
+    root = np.sqrt(np.bincount(merged, weights=sizes)[keep])
+    spectrum = np.linalg.eigvalsh(Q[np.ix_(keep, keep)] * root[:, None] * root[None, :])
+    if len(keep) < n:
         spectrum = np.append(spectrum, 0.0)  # the null vectors' eigenvalue
     return float(spectrum.min()), float(spectrum.max())
+
+
+def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a Hermitian matrix: the zero-mask
+    case of ``_transposed_extremes``."""
+    M = np.ascontiguousarray(M)  # one layout, so one row hash for every layout
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not len(M):
+        raise ValueError("matrix is empty")
+    return _transposed_extremes(M, np.arange(len(M))[None, :])
 
 
 def min_eigenvalue(M: np.ndarray) -> float:
@@ -160,5 +228,11 @@ def dense_ppt_check(rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL)
     """Partial-transpose PSD status of a dense state from the extremes of
     its partial transpose's spectrum: (status, lam_min, lam_max).
     Raises ValueError if the partial transpose is not Hermitian."""
-    lam_min, lam_max = _extreme_eigenvalues(partial_transpose(rho, mask, d))
+    rho = np.ascontiguousarray(rho)
+    N = _parties(rho, d)
+    mask = _validate_mask(mask, N)
+    masked = [party for party in range(N) if mask[party]]
+    kept = [party for party in range(N) if not mask[party]]
+    table = np.arange(d**N).reshape((d,) * N).transpose(masked + kept).reshape(d ** len(masked), -1)
+    lam_min, lam_max = _transposed_extremes(rho, table)
     return PsdCheck.from_extremes(lam_min, lam_max, tol).status, lam_min, lam_max

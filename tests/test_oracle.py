@@ -1,10 +1,13 @@
 """Dense partial transposes, permutation operators, and symmetry checks."""
 
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsym import oracle
 from dsym.oracle import (
@@ -252,6 +255,38 @@ def test_dense_ppt_check_real_matches_complex_on_random_specs():
         spec = random_spec(rng, N, d)
         mask = tuple(int(b) for b in rng.integers(0, 2, N))
         _real_and_complex_agree(spec, mask)
+
+
+def test_complex_rows_hash_into_the_real_rows_classes(monkeypatch):
+    # a complex row is hashed as its float view, so the complex copy of a
+    # state splits into the same classes: the one eigensolve gets the same
+    # quotient, in complex arithmetic, and the extremes agree to rounding
+    rng = np.random.default_rng(86)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for d, N in DENSE_VERIFY_MIX:
+        p = rng.uniform(0.0, 1.0, N * (d - 1) + 1)
+        p[rng.choice(len(p), size=len(p) // 3, replace=False)] = 0.0
+        rho = build_state(StateSpec(N, d, tuple(p)))
+        mask = tuple(int(b) for b in rng.integers(0, 2, N))
+        for M, check in ((rho, _extreme_eigenvalues), (rho, None)):
+            seen.clear()
+            if check is None:
+                real = dense_ppt_check(M, mask, d)[1:]
+                cplx = dense_ppt_check(M.astype(complex), mask, d)[1:]
+            else:
+                real, cplx = check(M), check(M.astype(complex))
+            (quotient, complex_quotient) = seen
+            assert quotient.dtype == np.float64 and complex_quotient.dtype == np.complex128
+            np.testing.assert_array_equal(complex_quotient, quotient)
+            scale = max(1.0, abs(real[1]))
+            assert abs(real[0] - cplx[0]) <= 1e-12 * scale and abs(real[1] - cplx[1]) <= 1e-12 * scale
 
 
 def _planted(rng, sizes, dtype):
@@ -566,3 +601,119 @@ def test_extreme_eigenvalues_of_non_contiguous_matrices():
         assert transpose == _extreme_eigenvalues(np.ascontiguousarray(M.T))
         _assert_extremes_match(np.linalg.eigvalsh(M), *transpose)
     assert _extreme_eigenvalues(pt.T) == _extreme_eigenvalues(pt)
+
+
+@pytest.mark.parametrize("d,N", [(2, 10), (4, 5)])
+def test_dense_ppt_check_allocates_less_than_half_the_state(d, N):
+    # the partial transpose is read off the state through the mask and
+    # never built: no d^N x d^N array, and no slice of one past 2^16 entries
+    rho = build_state(random_spec(np.random.default_rng(87), N, d))
+    prefix = (1,) * (N // 2) + (0,) * (N - N // 2)
+    interleaved = tuple(k % 2 for k in range(1, N + 1))
+    for mask in (prefix, interleaved):
+        tracemalloc.start()
+        try:
+            dense_ppt_check(rho, mask, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rho.nbytes / 2, (d, N, mask, peak)
+
+
+# Metamorphic relations of the partial transpose, on small D-symmetric states
+# (zeros in p included) and on planted quotient matrices.
+
+SMALL = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2), (2, 5), (2, 6), (3, 4), (4, 3)]
+ORACLE_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def states_and_masks(draw):
+    """A dense D-symmetric state, some of whose p_k may be zero, with d and a
+    0/1 mask of its N parties."""
+    d, N = draw(st.sampled_from(SMALL))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(1.0, 1e6))
+    p = draw(st.lists(entry, min_size=N * (d - 1) + 1, max_size=N * (d - 1) + 1))
+    mask = draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))
+    return build_state(StateSpec(N, d, tuple(p))), d, tuple(mask)
+
+
+@ORACLE_SETTINGS
+@given(states_and_masks())
+def test_complement_mask_gives_identical_extremes(case):
+    # PT_notA(rho) = PT_A(rho)^T, and a real symmetric PT_A(rho) is its own
+    # transpose: one matrix, so one quotient and bit-identical extremes
+    rho, d, mask = case
+    complement = tuple(1 - b for b in mask)
+    assert dense_ppt_check(rho, complement, d) == dense_ppt_check(rho, mask, d)
+
+
+@ORACLE_SETTINGS
+@given(states_and_masks(), st.randoms(use_true_random=False))
+def test_party_permuted_mask_gives_the_same_extremes(case, random):
+    # a D-symmetric state commutes with every party permutation, so the
+    # permuted mask's partial transpose is a conjugate of the first one
+    rho, d, mask = case
+    permuted = tuple(random.sample(mask, len(mask)))
+    _, lam_min, lam_max = dense_ppt_check(rho, mask, d)
+    _, perm_min, perm_max = dense_ppt_check(rho, permuted, d)
+    scale = max(1.0, abs(lam_max))
+    assert abs(perm_min - lam_min) <= 1e-12 * scale
+    assert abs(perm_max - lam_max) <= 1e-12 * scale
+
+
+@ORACLE_SETTINGS
+@given(states_and_masks())
+def test_extremes_match_the_full_spectrum_of_the_built_transpose(case):
+    rho, d, mask = case
+    ev = np.linalg.eigvalsh(partial_transpose(rho, mask, d))
+    _assert_extremes_match(ev, *dense_ppt_check(rho, mask, d)[1:])
+
+
+@st.composite
+def planted_and_masks(draw):
+    """A planted S^T A S matrix of d^N rows (``_quotient_planted``: zero rows,
+    -0.0 copies), real or complex, with d and a 0/1 mask."""
+    d, N = draw(st.sampled_from(SMALL))
+    dtype = draw(st.sampled_from([float, complex]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # class sizes summing to d^N, four classes to a block
+    sizes = rng.choice([1, 1, 2, 3, 6], size=d**N)
+    cut = int(np.searchsorted(sizes.cumsum(), d**N))
+    sizes = sizes[: cut + 1]
+    sizes[-1] -= sizes.sum() - d**N
+    classes = [sizes[i : i + 4].tolist() for i in range(0, len(sizes), 4)]
+    mask = draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))
+    return _quotient_planted(rng, classes, dtype), d, tuple(mask)
+
+
+@ORACLE_SETTINGS
+@given(planted_and_masks())
+def test_planted_quotients_match_the_full_spectrum_under_every_mask(case):
+    M, d, mask = case
+    ev = np.linalg.eigvalsh(partial_transpose(M, mask, d))
+    _assert_extremes_match(ev, *dense_ppt_check(M, mask, d)[1:])
+
+
+@ORACLE_SETTINGS
+@given(states_and_masks(), st.integers(0, 2**32 - 1))
+def test_hermitian_only_inside_the_band_is_accepted_past_it_rejected(case, seed):
+    # one entry without its mirror: off by 1e-14 of the largest entry the
+    # input is Hermitian inside the 1e-12 band and checked as it stands,
+    # off by 1e-9 of it the input is rejected
+    rho, d, mask = case
+    scale = abs(rho).max()
+    if scale == 0.0:
+        return
+    rng = np.random.default_rng(seed)
+    i, j = (int(k) for k in rng.integers(0, len(rho), 2))
+    if i == j:
+        j = (i + 1) % len(rho)
+    near = rho.copy()
+    near[i, j] += 1e-14 * scale
+    ev = np.linalg.eigvalsh(partial_transpose(near, mask, d))
+    _assert_extremes_match(ev, *dense_ppt_check(near, mask, d)[1:])
+    far = rho.copy()
+    far[i, j] += 1e-9 * scale
+    with pytest.raises(ValueError, match="not Hermitian"):
+        dense_ppt_check(far, mask, d)
