@@ -1,28 +1,34 @@
 """Dense brute-force ground truth for small systems.
 
-Everything here materializes d**N-sized arrays (subject to the dense cap) and
-is meant for validating the Hankel fast path and its certificates, not for
-production classification; with the dense kernels of ``states``, this is the
-only module that builds them.  Partial transposes are exact entry
-permutations (digit swaps between row and column indices), never Kronecker
-products of transpose maps, so they keep the dtype of their input: the real
-states of ``states.build_state`` give real partial transposes, eigensolved in
-real symmetric arithmetic, while complex inputs (product states, separable
-ensembles) stay complex.
+Everything here reads or builds d**N-sized arrays (subject to the dense
+cap) and is meant for validating the Hankel fast path and its certificates,
+not for production classification; with the dense kernels of ``states``,
+this is the only module that handles them.  Partial transposes are exact
+entry permutations (digit swaps between row and column indices), never
+Kronecker products of transpose maps, so they keep the dtype of their
+input: the real states of ``states.build_state`` give real partial
+transposes, eigensolved in real symmetric arithmetic, while complex inputs
+(product states, separable ensembles) stay complex.  ``partial_transpose``
+builds one, as the definition; ``dense_ppt_check`` reads its entries off the
+state through the mask and never builds it.
 
-A spectrum is taken from one quotient of the matrix by its equal rows,
-found from the matrix alone (no digit sums, no Hankel blocks), so the
-oracle's verdict stays independent of `ppt`.  Equal rows i and j of a
-Hermitian matrix make e_i - e_j a null vector, and the rest of its spectrum
-is that of D^1/2 M[r, r] D^1/2 on one row r per class of equal rows, with D
-the class sizes.  With a and b an index's digit sums over the transposed
-and the kept parties, the partial transpose of a diagonal D-symmetric state
-has entry p[a_i + b_j] where b_i - a_i = b_j - a_j and 0 elsewhere, so its
-row i depends on (a_i, b_i) alone: for w transposed parties the quotient
-has at most (w(d - 1) + 1)((N - w)(d - 1) + 1) rows.  On 2^10 with w = 5
-one 36 x 36 eigensolve replaces the 1024 x 1024 one.  The finite and
-Hermitian tests cover every entry, yet past the row hash and the row
-compare they read only the distinct rows.
+A spectrum is taken from one quotient of the partial transpose by its equal
+rows, found from the state and the mask alone (no digit sums, no Hankel
+blocks), so the oracle's verdict stays independent of `ppt`.  Equal rows i
+and j of a Hermitian matrix make e_i - e_j a null vector, and the rest of
+its spectrum is that of D^1/2 M[r, r] D^1/2 on one row r per class of equal
+rows, with D the class sizes.  The classes of equal rows (and columns) of
+the state, carried through the mask, split the partial transpose into
+classes of equal rows; their few first rows, merged where equal, give its
+own.  With a and b an index's digit sums over the transposed and the kept
+parties, the partial transpose of a diagonal D-symmetric state has entry
+p[a_i + b_j] where b_i - a_i = b_j - a_j and 0 elsewhere, so its row i
+depends on (a_i, b_i) alone: for w transposed parties the quotient has at
+most (w(d - 1) + 1)((N - w)(d - 1) + 1) rows.  On 2^10 with w = 5 one
+36 x 36 eigensolve replaces the 1024 x 1024 one.  The finite and Hermitian
+tests cover every entry, yet past the state's row hash and row compare
+they read only its distinct rows: a state with few of them costs no second
+d**N x d**N array.
 
 The dense forms of the production certificates, for tests, are
 ``witness_matrix`` (a ``WitnessSpec``) and ``ensemble_matrix`` (a
@@ -99,8 +105,8 @@ def ensemble_matrix(e: SeparableEnsemble) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _probe(n: int) -> np.ndarray:
-    """n fixed random weights on [1, 2), read-only: the row hash of an
-    n x n matrix is its product with them."""
+    """n fixed random weights on [1, 2), read-only: the row hash of a real
+    matrix of n columns is its product with them."""
     probe = np.random.default_rng(0x5EED).uniform(1.0, 2.0, n)
     probe.flags.writeable = False
     return probe
@@ -126,7 +132,7 @@ def _equal_rows(M: np.ndarray) -> np.ndarray:
     start = np.empty(n, dtype=bool)
     start[0] = True
     np.not_equal(h[1:], h[:-1], out=start[1:])
-    if start.all():
+    if start.all():  # no two hashes equal, so no two rows
         return np.arange(n)
     rep = np.empty(n, dtype=np.intp)
     rep[order] = order[start][start.cumsum() - 1]
@@ -155,14 +161,16 @@ def _transposed_extremes(rho: np.ndarray, table: np.ndarray) -> tuple[float, flo
     The classes are found on rho and carried through the mask.  Equal rows
     of rho (``_equal_rows``) whose columns are equal too make rho[x, y]
     depend on the classes of x and y alone; a column unlike its class's
-    first is a class of its own.  With T = cls[table], row (i_A, i_B) of
-    M then depends on row i_A and column i_B of T alone, so the pairs of
-    an equal-row class of T and an equal-column class of T split M into
-    classes of equal rows and equal columns.  The first row of such a pair
-    is the sum of the table's entries at the two classes' first indices,
-    and M at those rows and columns is a small gather from rho.  Its equal
-    rows merge the pairs into M's own classes of equal rows, ordered by
-    first row, so the quotient is M[r, r] as read from M itself.
+    first is a class of its own.  With T = rep[table], each index's class
+    named by its first index, row (i_A, i_B) of M depends on row i_A and
+    column i_B of T alone, so the pairs of an equal-row class of T and an
+    equal-column class of T split M into classes of equal rows and equal
+    columns.  table[i_A, i_B] = table[i_A, 0] + table[0, i_B] grows along
+    rows and columns, so a pair's first row of M sits at the two classes'
+    first indices, and M at those rows and columns is a small gather from
+    rho.  Its equal rows merge the pairs into M's own classes of equal
+    rows, ordered by first row, so the quotient is M[r, r] as read from M
+    itself.
 
     Every entry of M is an entry of rho and every row of rho equals one of
     R = rho[r], so the finite test on R tests every entry.  M - M^H holds
@@ -183,13 +191,16 @@ def _transposed_extremes(rho: np.ndarray, table: np.ndarray) -> tuple[float, flo
         skew = float(abs(A - A.conj().T).max())
     else:
         step = max(1, 2**16 // n)
-        skew = max(float(abs(rho[i : i + step] - rho[:, i : i + step].conj().T).max()) for i in range(0, n, step))
+        skew = max(
+            float(abs(rho[i : i + step] - rho[:, i : i + step].conj().T).max())
+            for i in range(0, n, step)
+        )
         rep = np.where(columns, rep, np.arange(n))
     if skew > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
     T = rep[table]
-    # the first index of each class of T's rows and of T's columns, with
-    # the class sizes; the table's entries grow along its rows and columns
+    # the first index of each class of T's rows and of T's columns; the
+    # pairs in M's row order, with their first rows' digits and their sizes
     u = _equal_rows(T)
     v = _equal_rows(np.ascontiguousarray(T.T))
     ua, va = np.flatnonzero(u == np.arange(len(u))), np.flatnonzero(v == np.arange(len(v)))
@@ -208,8 +219,10 @@ def _transposed_extremes(rho: np.ndarray, table: np.ndarray) -> tuple[float, flo
 
 
 def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix: the zero-mask
-    case of ``_transposed_extremes``."""
+    """Smallest and largest eigenvalue of a Hermitian matrix, from one
+    eigensolve of its quotient by equal rows: the zero-mask case of
+    ``_transposed_extremes``, whose index table is one row, 0..n-1, so the
+    matrix is its own partial transpose and any n is allowed."""
     M = np.ascontiguousarray(M)  # one layout, so one row hash for every layout
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
@@ -227,7 +240,11 @@ def min_eigenvalue(M: np.ndarray) -> float:
 def dense_ppt_check(rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL):
     """Partial-transpose PSD status of a dense state from the extremes of
     its partial transpose's spectrum: (status, lam_min, lam_max).
-    Raises ValueError if the partial transpose is not Hermitian."""
+
+    The partial transpose is read off rho through the mask's index table
+    (``_transposed_extremes``), never built; its quotient, and so each
+    extreme, is the one its own equal rows give.  Raises ValueError if the
+    partial transpose is not Hermitian, or has a non-finite entry."""
     rho = np.ascontiguousarray(rho)
     N = _parties(rho, d)
     mask = _validate_mask(mask, N)

@@ -275,18 +275,15 @@ def test_complex_rows_hash_into_the_real_rows_classes(monkeypatch):
         p[rng.choice(len(p), size=len(p) // 3, replace=False)] = 0.0
         rho = build_state(StateSpec(N, d, tuple(p)))
         mask = tuple(int(b) for b in rng.integers(0, 2, N))
-        for M, check in ((rho, _extreme_eigenvalues), (rho, None)):
+        for extremes in (_extreme_eigenvalues, lambda M: dense_ppt_check(M, mask, d)[1:]):
             seen.clear()
-            if check is None:
-                real = dense_ppt_check(M, mask, d)[1:]
-                cplx = dense_ppt_check(M.astype(complex), mask, d)[1:]
-            else:
-                real, cplx = check(M), check(M.astype(complex))
-            (quotient, complex_quotient) = seen
+            real, cplx = extremes(rho), extremes(rho.astype(complex))
+            quotient, complex_quotient = seen
             assert quotient.dtype == np.float64 and complex_quotient.dtype == np.complex128
             np.testing.assert_array_equal(complex_quotient, quotient)
             scale = max(1.0, abs(real[1]))
-            assert abs(real[0] - cplx[0]) <= 1e-12 * scale and abs(real[1] - cplx[1]) <= 1e-12 * scale
+            assert abs(real[0] - cplx[0]) <= 1e-12 * scale
+            assert abs(real[1] - cplx[1]) <= 1e-12 * scale
 
 
 def _planted(rng, sizes, dtype):
