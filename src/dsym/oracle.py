@@ -142,41 +142,18 @@ def _equal_rows(M: np.ndarray) -> np.ndarray:
     return np.where(np.concatenate(same), rep, np.arange(n))
 
 
-def _transposed_extremes(rho: np.ndarray, table: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of the partial transpose M of a
-    Hermitian matrix rho, from one eigensolve of M's quotient by equal rows,
-    without building M.
+def _state_classes(rho: np.ndarray) -> np.ndarray:
+    """For each index of rho, the first index of its class: the classes of
+    equal rows of ``_equal_rows``, with a column unlike its class's first
+    split off as a class of its own, so that rho[x, y] depends on the
+    classes of x and y alone.  Raises ValueError if rho has a non-finite
+    entry or is not Hermitian to 1e-12 * max|rho|.
 
-    ``table[i_A, i_B]`` is the index whose transposed digits read i_A and
-    whose kept digits read i_B, so M[(i_A, i_B), (j_A, j_B)] is
-    rho[table[j_A, i_B], table[i_A, j_B]]; the zero mask is the table of
-    one row, where M is rho.
-
-    If rows i and j of a Hermitian M are equal, so are columns i and j.
-    With one row r per class of equal rows, A = M[r, r] and S the 0/1
-    class-membership matrix, M = S^T A S and S S^T = D, the class sizes.
-    The spectrum of M is therefore that of C = D^1/2 A D^1/2, plus an
-    exact 0 when a class has two rows i and j: e_i - e_j is a null vector.
-
-    The classes are found on rho and carried through the mask.  Equal rows
-    of rho (``_equal_rows``) whose columns are equal too make rho[x, y]
-    depend on the classes of x and y alone; a column unlike its class's
-    first is a class of its own.  With T = rep[table], each index's class
-    named by its first index, row (i_A, i_B) of M depends on row i_A and
-    column i_B of T alone, so the pairs of an equal-row class of T and an
-    equal-column class of T split M into classes of equal rows and equal
-    columns.  table[i_A, i_B] = table[i_A, 0] + table[0, i_B] grows along
-    rows and columns, so a pair's first row of M sits at the two classes'
-    first indices, and M at those rows and columns is a small gather from
-    rho.  Its equal rows merge the pairs into M's own classes of equal
-    rows, ordered by first row, so the quotient is M[r, r] as read from M
-    itself.
-
-    Every entry of M is an entry of rho and every row of rho equals one of
-    R = rho[r], so the finite test on R tests every entry.  M - M^H holds
-    the entries of rho - rho^H, moved; when rho's classes hold, they repeat
-    those of A - A^H on rho's quotient, so the Hermitian test to
-    1e-12 * max|rho| runs on it, else on rho in slices.
+    Every row of rho equals one of R = rho[r], one row r per class, so the
+    finite test on R tests every entry.  When the columns are equal within
+    each class too, rho - rho^H repeats the entries of A - A^H on the
+    quotient A = R[:, r], so the Hermitian test to 1e-12 * max|rho| runs
+    on it, else on rho in slices.
     """
     n = len(rho)
     rep = _equal_rows(rho)
@@ -198,6 +175,41 @@ def _transposed_extremes(rho: np.ndarray, table: np.ndarray) -> tuple[float, flo
         rep = np.where(columns, rep, np.arange(n))
     if skew > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian")
+    return rep
+
+
+def _transposed_extremes(rho: np.ndarray, table: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of the partial transpose M of a
+    Hermitian matrix rho, from one eigensolve of M's quotient by equal rows,
+    without building M.
+
+    ``table[i_A, i_B]`` is the index whose transposed digits read i_A and
+    whose kept digits read i_B, so M[(i_A, i_B), (j_A, j_B)] is
+    rho[table[j_A, i_B], table[i_A, j_B]]; the zero mask is the table of
+    one row, where M is rho.
+
+    If rows i and j of a Hermitian M are equal, so are columns i and j.
+    With one row r per class of equal rows, A = M[r, r] and S the 0/1
+    class-membership matrix, M = S^T A S and S S^T = D, the class sizes.
+    The spectrum of M is therefore that of C = D^1/2 A D^1/2, plus an
+    exact 0 when a class has two rows i and j: e_i - e_j is a null vector.
+
+    The classes are found on rho (``_state_classes``) and carried through
+    the mask.  With T = rep[table], each index's class named by its first
+    index, row (i_A, i_B) of M depends on row i_A and column i_B of T
+    alone, so the pairs of an equal-row class of T and an equal-column
+    class of T split M into classes of equal rows and equal columns.
+    table[i_A, i_B] = table[i_A, 0] + table[0, i_B] grows along rows and
+    columns, so a pair's first row of M sits at the two classes' first
+    indices, and M at those rows and columns is a small gather from rho.
+    Its equal rows merge the pairs into M's own classes of equal rows,
+    ordered by first row, so the quotient is M[r, r] as read from M
+    itself.  Every entry of M is an entry of rho, and M - M^H holds the
+    entries of rho - rho^H, moved: the finite and Hermitian tests on rho
+    are those on M.
+    """
+    n = len(rho)
+    rep = _state_classes(rho)
     T = rep[table]
     # the first index of each class of T's rows and of T's columns; the
     # pairs in M's row order, with their first rows' digits and their sizes
