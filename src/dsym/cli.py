@@ -31,7 +31,7 @@ from .moment import (
 )
 from .oracle import dense_ppt_check
 from .ppt import DEFAULT_PSD_TOL, PPT_WORDS, PPTReport, is_m_ppt
-from .states import StateSpec, build_state
+from .states import StateSpec, digit_sum_rows
 from .witnesses import WitnessSpec
 
 EXIT_POSITIVE = 0
@@ -226,8 +226,8 @@ def cmd_oracle_verify(args, psd_tol: float, residual_tol: float) -> int:
     spec = parse_spec_file(args.spec_file)
     parsed = time.perf_counter()
     mask = tuple(int(c) for c in args.mask)
-    rho = build_state(spec)
-    status, lam_min, lam_max = dense_ppt_check(rho, mask, spec.d, psd_tol)
+    rows, sums = digit_sum_rows(spec.N, spec.d, spec.p)
+    status, lam_min, lam_max = dense_ppt_check(rows, mask, spec.d, psd_tol, sums)
     oracle = {
         "mask": list(mask),
         "lam_min": lam_min,

@@ -18,13 +18,14 @@ for verification, not production; ``states`` and ``oracle`` are the only
 modules that build dense arrays, and the Hankel classification path in the
 ppt/moment modules has no cap.
 
-Dense operators are built by two kernels over ``digit_table``:
-``digit_sum_operator`` gives sum_k v_k |R_k><R_k| (states,
-``oracle.witness_matrix``) and ``product_powers`` the tensor powers
-phi^(tensor N) (``oracle.ensemble_matrix``).  Rows of equal digit sum are
-equal in sum_k v_k |R_k><R_k|, so ``digit_sum_operator`` builds its
-N(d-1)+1 distinct rows and writes the matrix in one row gather; no
-d**N x d**N temporary is made.
+Dense operators are built by kernels over ``digit_table``:
+``digit_sum_rows`` gives the rows of sum_k v_k |R_k><R_k|, one per digit sum
+(rows of equal digit sum are equal), with the digit sums as the row map;
+``digit_sum_operator`` writes that matrix from them in one row gather
+(states, ``oracle.witness_matrix``); ``product_powers`` gives the tensor
+powers phi^(tensor N) (``oracle.ensemble_matrix``).  No d**N x d**N
+temporary is made, and the CLI's dense check stops at the rows:
+``oracle.dense_ppt_check`` takes a state as its rows and row map.
 """
 
 from __future__ import annotations
@@ -138,17 +139,26 @@ class StateSpec:
         object.__setattr__(self, "p", p)
 
 
-def digit_sum_operator(N: int, d: int, values) -> np.ndarray:
-    """Dense real sum_k values[k] |R_k><R_k| over the restricted Dicke vectors
-    R_k: entry (i, j) is values[k] when both digit sums are k, else +0.0
-    (also when values[k] is negative)."""
+def digit_sum_rows(N: int, d: int, values) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of sum_k values[k] |R_k><R_k|, one per digit sum, and the
+    row map, as (rows, sums): rows is (N(d-1)+1, d**N), its row k the row of
+    every basis index of digit sum k (values[k] on digit sum k, else +0.0,
+    also when values[k] is negative), and sums holds the digit sums, so the
+    matrix is rows[sums].  Checks the dense cap like the matrix it stands
+    for."""
     check_dense_cap(N, d)
     values = np.asarray(values, dtype=float)
     if values.shape != (N * (d - 1) + 1,):
         raise ValueError(f"expected one value per digit sum 0..{N * (d - 1)}, got {values.shape}")
     sums = digit_sums(N, d)
-    # rows[k] is every row of digit sum k
-    rows = np.where(sums == np.arange(len(values))[:, None], values[:, None], 0.0)
+    return np.where(sums == np.arange(len(values))[:, None], values[:, None], 0.0), sums
+
+
+def digit_sum_operator(N: int, d: int, values) -> np.ndarray:
+    """Dense real sum_k values[k] |R_k><R_k| over the restricted Dicke vectors
+    R_k: entry (i, j) is values[k] when both digit sums are k, else +0.0
+    (also when values[k] is negative)."""
+    rows, sums = digit_sum_rows(N, d, values)
     return rows.take(sums, axis=0)
 
 

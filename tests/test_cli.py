@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 import dsym.cli
 import dsym.moment
 import dsym.oracle
+import dsym.states
 from dsym.cli import main, parse_spec_dict
 from dsym.decompose import ensemble_from_measure, separable_ensemble
 from dsym.moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, RecoveryError, is_separable
@@ -580,6 +582,30 @@ def test_oracle_verify_calls_the_oracle_through_its_module_names(tmp_path, capsy
     code, report = run(capsys, ["oracle-verify", path, "--mask", "010"])
     assert code == 0 and report["oracle"]["status"] == "psd"
     assert counts == {"dense_ppt_check": 1, "partial_transpose": 0}
+
+
+@pytest.mark.parametrize("N, d", [(10, 2), (5, 4)])
+def test_oracle_verify_builds_no_dense_state(tmp_path, capsys, count_calls, N, d):
+    # the command hands the oracle the state's N(d-1)+1 distinct rows and
+    # its digit sums as the row map: no d^N x d^N state is built, and the
+    # command's peak stays below 1/8 of one (1 MiB at d^N = 1024)
+    counts = count_calls(dsym.states, "build_state", "digit_sum_operator")
+    dense_bytes = (d**N) ** 2 * 8
+    p = np.random.default_rng(89).uniform(0.0, 1.0, N * (d - 1) + 1)
+    path = write_spec(tmp_path, {"N": N, "d": d, "p": p.tolist()})
+    for mask in ("1" * (N // 2) + "0" * (N - N // 2), ("10" * N)[:N]):
+        argv = ["oracle-verify", path, "--mask", mask]
+        expected = run(capsys, argv)  # also warms the cached digit tables
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert (code, json.loads(out)["oracle"]) == (expected[0], expected[1]["oracle"])
+        assert peak < dense_bytes / 8, (mask, peak)
+    assert counts == {"build_state": 0, "digit_sum_operator": 0}
 
 
 def test_oracle_verify_not_psd_exit_1(tmp_path, capsys):

@@ -12,6 +12,7 @@ from dsym.states import (
     build_state,
     composition_counts,
     digit_sum_operator,
+    digit_sum_rows,
     digit_sums,
 )
 from dsym.witnesses import WitnessSpec, family_u_length, family_v_length
@@ -221,6 +222,15 @@ def test_dense_cap(monkeypatch):
     build_state(StateSpec(2, 3, (1, 1, 1, 1, 1)))
 
 
+def test_digit_sum_rows_check_the_dense_cap(monkeypatch):
+    # the distinct rows stand for the d^N x d^N matrix, so its cap holds
+    monkeypatch.setenv("DSYM_DENSE_CAP", "8")
+    with pytest.raises(DenseCapExceeded):
+        digit_sum_rows(2, 3, (1, 1, 1, 1, 1))
+    with pytest.raises(ValueError, match="one value per digit sum"):
+        digit_sum_rows(2, 2, (1, 1))
+
+
 @pytest.mark.parametrize("value", ["abc", "", "4.5", "0", "-5"])
 def test_dense_cap_rejects_a_value_that_is_not_a_positive_integer(monkeypatch, value):
     monkeypatch.setenv("DSYM_DENSE_CAP", value)
@@ -306,3 +316,20 @@ def test_digit_sum_operator_matches_the_broadcast_formula(monkeypatch, d, N):
         W = oracle.witness_matrix(WitnessSpec(family, tuple(coeffs), N, d))
         assert (seen[-1] < 0).any()
         _assert_equal_in_value(W, N, d, seen[-1])
+
+
+@pytest.mark.parametrize("d,N", DENSE_VERIFY_MIX)
+def test_digit_sum_rows_are_the_operators_distinct_rows(d, N):
+    # rows[k] is every row of digit sum k, bit for bit (+0.0 off the class,
+    # also for a negative value), and the row map is the digit sums
+    rng = np.random.default_rng(N * 10 + d + 1)
+    values = rng.uniform(-1.0, 1.0, N * (d - 1) + 1)
+    values[rng.choice(len(values), size=len(values) // 3, replace=False)] = 0.0
+    rows, sums = digit_sum_rows(N, d, values)
+    assert rows.shape == (N * (d - 1) + 1, d**N) and rows.dtype == np.float64
+    assert rows.flags.c_contiguous
+    np.testing.assert_array_equal(sums, digit_sums(N, d))
+    op = digit_sum_operator(N, d, values)
+    np.testing.assert_array_equal(rows[sums], op)
+    np.testing.assert_array_equal(np.signbit(rows[sums]), np.signbit(op))
+    _assert_equal_in_value(rows[sums], N, d, values)
