@@ -297,9 +297,7 @@ def min_eigenvalue(M: np.ndarray) -> float:
     return _extreme_eigenvalues(M)[0]
 
 
-def dense_ppt_check(
-    rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL, row_of=None
-):
+def dense_ppt_check(rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL, row_of=None):
     """Partial-transpose PSD status of a dense state from the extremes of
     its partial transpose's spectrum: (status, lam_min, lam_max).
 
