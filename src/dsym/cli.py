@@ -104,16 +104,18 @@ def _witness_json(w: WitnessSpec) -> dict:
 
 
 def _ensemble_json(e: SeparableEnsemble) -> dict:
-    vectors = [phi for _, phi in e.terms if not isinstance(phi, str)]
-    pairs = iter(_complex_pairs(np.stack(vectors)) if vectors else ())
-    return {
-        "type": "ensemble",
-        "terms": [
-            {"weight": w, "vector": "top" if isinstance(phi, str) else next(pairs)}
-            for w, phi in e.terms
-        ],
-        "reconstruction_error": e.reconstruction_error,
-    }
+    """The certificate's terms, one group at a time: one `tolist` call per
+    group converts all of its vectors."""
+    terms = []
+    for w, vectors in e.groups:
+        if isinstance(vectors, str):
+            terms.append({"weight": w, "vector": "top"})
+            continue
+        pairs = _complex_pairs(vectors)
+        if np.ndim(vectors) == 1:  # a group of one vector
+            pairs = [pairs]
+        terms += [{"weight": w, "vector": v} for v in pairs]
+    return {"type": "ensemble", "terms": terms, "reconstruction_error": e.reconstruction_error}
 
 
 def _separability_json(v: SeparabilityVerdict) -> dict:

@@ -8,9 +8,10 @@ between different digit sums.  A general feasible sequence is a mixture of
 geometric ones given by its recovered atomic measure, plus the top product
 state carrying the mass M.  An atom's L vectors come from one array of
 phases ``exp(2 pi i ((a i) mod L) / L)`` scaled by the amplitudes t^(i/2),
-as one (L, d) array whose rows are the terms.  Ensembles are kept as their
-terms; the distance to the state is reported in closed form, and the dense
-matrix of an ensemble, for verification, is ``oracle.ensemble_matrix``.
+as one (L, d) array whose rows are the terms.  Ensembles keep that array
+as the atom's group of terms; the distance to the state is reported in
+closed form, and the dense matrix of an ensemble, for verification, is
+``oracle.ensemble_matrix``.
 """
 
 from __future__ import annotations
@@ -37,14 +38,26 @@ class NotSeparableError(ValueError):
 
 @dataclass(frozen=True)
 class SeparableEnsemble:
-    """Weighted product vectors; each term means weight * |phi><phi|^(tensor N),
-    with phi either an explicit d-vector (possibly non-unit) or the symbolic
-    top vector |d-1>."""
+    """Weighted product vectors, kept as one (weight, vectors) group per atom:
+    `vectors` is an (L, d) array whose rows are the group's terms, a single
+    d-vector (possibly non-unit) or the symbolic top vector |d-1>, "top".
+    Each term means weight * |phi><phi|^(tensor N); per-term tuples are
+    groups of one term."""
 
     N: int
     d: int
-    terms: tuple[tuple[float, np.ndarray | str], ...]
+    groups: tuple[tuple[float, np.ndarray | str], ...]
     reconstruction_error: float | None = None
+
+    @property
+    def terms(self) -> tuple[tuple[float, np.ndarray | str], ...]:
+        """One (weight, phi) pair per term, the rows of a group's array each
+        with the group's weight; built when read."""
+        return tuple(
+            (weight, phi)
+            for weight, vectors in self.groups
+            for phi in (vectors if np.ndim(vectors) == 2 else (vectors,))
+        )
 
     def normalized(self) -> "SeparableEnsemble":
         """Convex combination of unit-trace product states (weights sum to 1).
@@ -97,7 +110,7 @@ def geometric_ensemble(N: int, d: int, t: float) -> SeparableEnsemble:
     """Fourier product-vector ensemble reconstructing the state with
     coefficients t^k; returns N(d-1)+1 terms of equal weight."""
     vectors = _fourier_vectors(N, d, t)
-    return SeparableEnsemble(N, d, tuple((1.0 / len(vectors), phi) for phi in vectors))
+    return SeparableEnsemble(N, d, ((1.0 / len(vectors), vectors),))
 
 
 def separable_ensemble(
@@ -160,27 +173,27 @@ def ensemble_from_measure(
     summing to 1, as ``SeparableEnsemble.normalized`` gives them, but from
     one log-weight per atom: every phase has unit modulus, so each Fourier
     vector of an atom t has squared norm sum_{i<d} t^i in closed form, and
-    the atom's terms share one weight bit for bit."""
+    the atom's terms share one weight bit for bit.  The ensemble keeps one
+    group per atom, then the top state: an atom at 0 as its one vector |0>
+    (every Fourier vector degenerates to it), any other as its (L, d) array."""
     N, d = spec.N, spec.d
     L = N * (d - 1) + 1
-    # per atom, then the top state: (weight, squared norm of each vector, vectors)
-    groups: list[tuple[float, float, np.ndarray | list[str]]] = []
+    # per group: (weight, squared norm of each vector, term count, vectors)
+    groups: list[tuple[float, float, int, np.ndarray | str]] = []
     for t, w in measure.atoms:
         if t == 0.0:
-            # every Fourier vector degenerates to |0>, so emit one term
-            groups.append((w, 1.0, np.eye(1, d, dtype=np.complex128)))
+            groups.append((w, 1.0, 1, np.eye(1, d, dtype=np.complex128)[0]))
         else:
             norm2 = math.fsum(t**i for i in range(d))
-            groups.append((w * (1.0 / L), norm2, _fourier_vectors(N, d, t)))
+            groups.append((w * (1.0 / L), norm2, L, _fourier_vectors(N, d, t)))
     if measure.top_mass > 0:
-        groups.append((measure.top_mass, 1.0, [TOP]))
+        groups.append((measure.top_mass, 1.0, 1, TOP))
     if normalize:
-        logs = [math.log(w) + N * math.log(norm2) for w, norm2, _ in groups]
-        weights = _convex_weights(logs, np.array([len(v) for _, _, v in groups]))
+        logs = [math.log(w) + N * math.log(norm2) for w, norm2, _, _ in groups]
+        weights = _convex_weights(logs, np.array([count for _, _, count, _ in groups]))
         groups = [
-            (weight, 1.0, v / math.sqrt(norm2) if isinstance(v, np.ndarray) else v)
-            for weight, (_, norm2, v) in zip(weights.tolist(), groups)
+            (weight, 1.0, count, v if isinstance(v, str) else v / math.sqrt(norm2))
+            for weight, (_, norm2, count, v) in zip(weights.tolist(), groups)
         ]
-    terms = tuple((weight, phi) for weight, _, vectors in groups for phi in vectors)
     err = reconstruction_error(N, d, measure.reproduced(N * (d - 1)), spec.p, normalize)
-    return SeparableEnsemble(N, d, terms, err)
+    return SeparableEnsemble(N, d, tuple((weight, v) for weight, _, _, v in groups), err)

@@ -97,17 +97,21 @@ MOMENT_WORDS = {PSD: "yes", NOT_PSD: "no", MARGINAL: "marginal"}
 
 @dataclass(frozen=True)
 class MomentCheck:
+    """The feasibility verdict and the checks of the two moment Hankels, whose
+    matrices `moment_hankels(p)` gives again; no check carries a vector."""
+
     verdict: str  # "yes" | "no" | "marginal"
-    even: PsdCheck  # each with its lowest eigenvector in .vec (None when empty)
+    even: PsdCheck
     odd: PsdCheck
 
 
 def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentCheck:
-    """Feasibility of the moment sequence p, deciding each moment Hankel with
-    a single eigendecomposition whose lowest eigenvector is kept for the
-    witness.  Raises ValueError unless p is a nonempty 1-d sequence of finite
-    numbers."""
-    even, odd = (psd_checks(h[None], tol, vectors=True).check(0) for h in moment_hankels(p))
+    """Feasibility of the moment sequence p, deciding each moment Hankel from
+    its eigenvalues alone (`psd_checks` without vectors), so with the bits of
+    the m-PPT block that is the same matrix.  A witness takes its eigenvector
+    from a solve of its own (`witness_from_check`).  Raises ValueError unless
+    p is a nonempty 1-d sequence of finite numbers."""
+    even, odd = (psd_checks(h[None], tol).check(0) for h in moment_hankels(p))
     return MomentCheck(MOMENT_WORDS[worst_status((even.status, odd.status))], even, odd)
 
 
@@ -324,7 +328,7 @@ def is_separable(
 
     Separable verdicts carry the recovered measure, or the RecoveryError that
     explains why there is none; entangled verdicts carry a detecting witness
-    built from the feasibility check's own eigenvectors.
+    built from the lowest eigenvector of the failing Hankel.
     """
     check = is_generalized_moment_solution(spec.p, psd_tol)
     verdict = _SEPARABILITY[check.verdict]

@@ -194,8 +194,10 @@ def psd_checks(H: np.ndarray, tol_rel: float, vectors=False) -> PsdChecks:
 
 def is_psd(M: np.ndarray, tol_rel: float = DEFAULT_PSD_TOL) -> PsdCheck:
     """`psd_checks` of one matrix from a caller, with its lowest eigenvector
-    (a witness when the matrix is a moment Hankel).  Raises ValueError unless
-    M is square, finite and symmetric to 1e-12 of its largest entry."""
+    (from eigh, so its eigenvalues may differ in the last bits from those of
+    the eigenvalue-only checks of the m-PPT blocks and the moment Hankels).
+    Raises ValueError unless M is square, finite and symmetric to 1e-12 of
+    its largest entry."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")

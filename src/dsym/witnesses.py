@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ppt import NOT_PSD, hankel
+from .ppt import DEFAULT_PSD_TOL, NOT_PSD, hankel, psd_checks
 from .states import StateSpec
 
 if TYPE_CHECKING:  # moment imports this module, so the check type is annotation-only
@@ -78,15 +78,20 @@ def _unit_sign_fixed(vec: np.ndarray) -> np.ndarray:
 def witness_from_check(spec: StateSpec, check: MomentCheck) -> WitnessSpec | None:
     """Witness from the lowest eigenvector of the more negative of the
     decisively non-PSD moment Hankels in `check` (the even one on a tie), or
-    None when neither is decisively non-PSD."""
+    None when neither is decisively non-PSD.  `check` decided from
+    eigenvalues alone, so that Hankel alone is solved again, by `psd_checks`
+    with vectors; its status there is not read (the check's stands)."""
     candidates = [
-        (chk.lam_min, family, chk.vec)
+        (chk.lam_min, family)
         for family, chk in (("V", check.even), ("U", check.odd))
         if chk.status == NOT_PSD
     ]
     if not candidates:
         return None
-    _, family, vec = min(candidates, key=lambda c: c[0])
+    _, family = min(candidates, key=lambda c: c[0])
+    length = (family_v_length if family == "V" else family_u_length)(spec.N, spec.d)
+    H = hankel(spec.p, length, FAMILY_SHIFT[family])
+    vec = psd_checks(H[None], DEFAULT_PSD_TOL, vectors=True).vec[0]
     coeffs = tuple(_unit_sign_fixed(vec.astype(np.complex128)))
     return WitnessSpec(
         family=family,

@@ -82,6 +82,22 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
+def eigensolves(monkeypatch):
+    """Record every np.linalg.eigh and eigvalsh call: returns the list of
+    (name, copy of the argument) that grows as they are made."""
+    calls: list[tuple[str, np.ndarray]] = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def recorded(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.array(a)))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+@pytest.fixture
 def two_cpus(monkeypatch):
     """Decide m-PPT stacks as on two CPUs with one BLAS thread; yields the
     names of the threads started meanwhile."""

@@ -1,6 +1,7 @@
 """CLI surface: JSON parsing, report schema, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from dsym.moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, RecoveryError, is_se
 from dsym import ppt
 from dsym.ppt import DEFAULT_PSD_TOL
 from dsym.states import StateSpec
+from dsym.witnesses import FAMILY_SHIFT
 
 from conftest import SYMMETRIZER_P, far_atom_p, fourier_terms, geometric_p
 
@@ -392,13 +394,100 @@ def test_separable_certificate_decides_once(tmp_path, capsys, count_calls, comma
     assert counts == {"is_generalized_moment_solution": 1, "recover_atomic_measure": 1}
 
 
-def test_entangled_certificate_decomposes_each_hankel_once(tmp_path, capsys, count_calls):
-    counts = count_calls(np.linalg, "eigh", "eigvalsh")
+def test_entangled_certificate_decomposes_each_hankel_once(tmp_path, capsys, eigensolves):
+    # the verdict takes each moment Hankel's eigenvalues once; the witness
+    # Hankel alone is solved again, for its eigenvector
     path = write_spec(tmp_path, COUNTEREXAMPLE)
     code, report = run(capsys, ["check-separable", path, "--certificate"])
     assert code == 1
-    assert report["certificate"]["type"] == "witness"
-    assert counts["eigh"] + counts["eigvalsh"] == 2
+    witness = report["certificate"]
+    assert witness["type"] == "witness"
+    assert [name for name, _ in eigensolves] == ["eigvalsh", "eigvalsh", "eigh"]
+    p = np.array([float(Fraction(x)) for x in COUNTEREXAMPLE["p"]])
+    H = ppt.hankel(p, len(witness["coeffs"]), FAMILY_SHIFT[witness["family"]])
+    np.testing.assert_array_equal(eigensolves[2][1], H[None], strict=True)
+
+
+def _agreement_specs():
+    """Specs where the PPT blocks s = 0 and 1 at m = N // 2 are the two moment
+    Hankels (even N, and odd N for qubits): seeded random, separable and
+    entangled sequences, the D-symmetrizer projectors, and the counterexample's
+    sequence read as six qubits and as two ququarts."""
+    rng = np.random.default_rng(212)
+    specs = [{"N": 6, "d": 2, "p": COUNTEREXAMPLE["p"]}, {"N": 2, "d": 4, "p": COUNTEREXAMPLE["p"]}]
+    sizes = [(2, 2), (3, 2), (4, 2), (7, 2), (10, 2), (21, 2), (40, 2), (61, 2), (100, 2)]
+    sizes += [(2, 3), (4, 3), (8, 3), (20, 3), (2, 4), (4, 4), (10, 4)]
+    for N, d in sizes:
+        n = N * (d - 1)
+        separable = _moments(n, rng.uniform(0, 1.5, 3), rng.uniform(0.1, 1, 3))
+        entangled = list(separable)
+        entangled[min(6, n)] *= 0.5
+        for p in (rng.uniform(0, 1, n + 1).tolist(), separable, entangled):
+            specs.append({"N": N, "d": d, "p": p})
+    for N, d in [(N, 2) for N in range(2, 9)] + [(4, 3), (6, 3), (8, 3), (4, 4), (6, 4)]:
+        counts = dsym.states.composition_counts(N, d)
+        specs.append({"N": N, "d": d, "p": [f"1/{int(c)}" for c in counts]})
+    return specs
+
+
+def test_half_ppt_blocks_agree_with_the_moment_hankels(tmp_path, capsys):
+    # the same matrices give the same bits, and the same verdict, either way
+    words = {"ppt": "separable", "not-ppt": "entangled", "marginal": "marginal"}
+    decided = 0
+    for spec in _agreement_specs():
+        path = write_spec(tmp_path, spec)
+        _, ppt_report = run(capsys, ["check-ppt", path, "--m", str(spec["N"] // 2)])
+        _, sep_report = run(capsys, ["check-separable", path])
+        ppt_report, sep = ppt_report["ppt"], sep_report["separability"]
+        assert words[ppt_report["verdict"]] == sep["verdict"], spec
+        keys = ("even_hankel_min_eigenvalue", "odd_hankel_min_eigenvalue")
+        for block, key in zip(ppt_report["blocks"], keys):
+            assert block["size"] == (spec["N"] * (spec["d"] - 1) - block["s"]) // 2 + 1
+            if block["status"] != "skipped":
+                assert block["lam_min"].hex() == sep[key].hex(), (spec, key)
+                decided += 1
+    assert decided >= 80
+
+
+def _entangled_p(rng, n, kind):
+    """An entangled sequence of length n + 1 whose failing moment Hankels are
+    `kind`: both (p_{2r} of an r-atom measure lowered), the even one (p_n
+    lowered), or the odd one (a light atom at a negative node)."""
+    r = int(rng.integers(1, 5))
+    nodes, weights = rng.uniform(0.5, 1.0, r), rng.uniform(0.1, 1.0, r)
+    if kind == "odd":
+        nodes = np.append(nodes, -rng.uniform(0.2, 0.4))
+        weights = np.append(weights, rng.uniform(0.01, 0.05) * weights.min())
+    p = weights @ nodes[:, None] ** np.arange(n + 1)
+    dip = 1 - rng.uniform(0.1, 0.9)
+    if kind == "both":
+        p[2 * r] *= dip
+    elif kind == "even":
+        p[n] *= dip
+    return p.tolist()
+
+
+def test_every_witness_is_decisively_negative(tmp_path, capsys):
+    # the witness's vector now comes from a solve of its own: its form must
+    # still detect, beyond the rounding of its own evaluation
+    rng = np.random.default_rng(212)
+    bases = set()
+    for n in (16, 48, 96, 160):
+        for i in range(12):
+            p = _entangled_p(rng, n, ("both", "even", "odd")[i % 3])
+            path = write_spec(tmp_path, {"N": n, "d": 2, "p": p})
+            code, report = run(capsys, ["check-separable", path, "--certificate"])
+            if code != 1:
+                continue  # the absolute band's blind spot (ROADMAP item 1)
+            witness = report["certificate"]
+            bases.add(report["separability"]["basis"])
+            pairs = np.array(witness["coeffs"])
+            c = pairs[:, 0] + 1j * pairs[:, 1]
+            H = ppt.hankel(p, len(c), FAMILY_SHIFT[witness["family"]])
+            form = float((c.conj() @ H @ c).real)
+            assert form < -1e-12 * (np.abs(c) @ np.abs(H) @ np.abs(c)), (n, i)
+            assert form == witness["witness_value"], (n, i)
+    assert bases == {"both", "even-hankel", "odd-hankel"}
 
 
 @pytest.fixture
@@ -730,6 +819,38 @@ def test_decompose_stdout_matches_per_term_reference(tmp_path, capsys):
     expected["certificate"] = _per_term_ensemble_json(terms, error)
     expected["timings"] = json.loads(out)["timings"]
     assert out == json.dumps(expected, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["decompose", "--normalize"], ["check-separable", "--certificate", "--normalize"]]
+)
+def test_normalized_certificate_matches_per_term_reference(tmp_path, capsys, command):
+    spec = parse_spec_dict(MIXED)
+    atoms = is_separable(spec).atoms
+    assert len(atoms.atoms) == 3 and atoms.atoms[0][0] == 0.0 and atoms.top_mass > 0
+    code, report = run(capsys, [command[0], write_spec(tmp_path, MIXED), *command[1:]])
+    assert code == 0
+    # one log-weight per group from the closed-form squared norm sum_{i<d} t^i
+    # of its vectors, then each term's unit vector built and converted alone
+    N, d = spec.N, spec.d
+    logs, counts, terms = [], [], []
+    for t, w in atoms.atoms:
+        if t == 0.0:
+            group = [(w, np.eye(d, dtype=complex)[0])]
+        else:
+            group = [(w * sub_w, phi) for sub_w, phi in fourier_terms(N, d, t)]
+        norm2 = math.fsum(t**i for i in range(d))
+        logs.append(math.log(group[0][0]) + N * math.log(norm2))
+        counts.append(len(group))
+        terms.append([phi / math.sqrt(norm2) for _, phi in group])
+    logs.append(math.log(atoms.top_mass))
+    counts.append(1)
+    terms.append(["top"])
+    weights = np.exp(np.array(logs) - max(logs))
+    weights = (weights / (weights * np.array(counts)).sum()).tolist()
+    per_term = [(weight, phi) for weight, group in zip(weights, terms) for phi in group]
+    error = ensemble_from_measure(spec, atoms, normalize=True).reconstruction_error
+    assert json.dumps(report["certificate"]) == json.dumps(_per_term_ensemble_json(per_term, error))
 
 
 def test_decompose_entangled_exit_1(tmp_path, capsys):

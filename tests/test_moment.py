@@ -18,7 +18,7 @@ from dsym.moment import (
     recover_atomic_measure,
 )
 from dsym.oracle import dense_ppt_check
-from dsym.ppt import is_m_ppt, is_psd
+from dsym.ppt import DEFAULT_PSD_TOL, is_m_ppt, is_psd, psd_checks
 from dsym.states import StateSpec, build_state, composition_counts
 
 from conftest import PPT_ENTANGLED_P, SYMMETRIZER_P, geometric_p, random_spec
@@ -76,7 +76,8 @@ def _bits(check):
 
 
 def test_feasibility_checks_are_is_psd_bit_for_bit():
-    # the moment Hankels skip is_psd's validation, not its decision
+    # the moment Hankels are decided by the kernel without vectors, as an
+    # m-PPT block is: is_psd's rule, without its validation or its vector
     rng = np.random.default_rng(5)
     sequences = [
         (0.7,),  # the odd Hankel is empty
@@ -89,10 +90,12 @@ def test_feasibility_checks_are_is_psd_bit_for_bit():
     ]
     for p in sequences:
         check = is_generalized_moment_solution(p)
-        even, odd = (is_psd(h) for h in moment_hankels(p))
+        even, odd = (psd_checks(h[None], DEFAULT_PSD_TOL).check(0) for h in moment_hankels(p))
         assert _bits(check.even) == _bits(even) and _bits(check.odd) == _bits(odd)
-    assert check.even.vec is not None and check.odd.vec is not None
-    assert is_generalized_moment_solution((0.7,)).odd.vec is None
+        assert check.even.vec is None and check.odd.vec is None
+        assert (check.even.status, check.odd.status) == tuple(
+            is_psd(h).status for h in moment_hankels(p)
+        )
 
 
 def test_symmetrizer_blocks_and_moment_hankel_exactly():
@@ -484,12 +487,37 @@ def test_main_theorem_odd_qubits_uses_half_split():
     assert is_separable(spec).verdict == "separable"
 
 
-def test_entangled_verdict_decomposes_each_hankel_once(ppt_entangled_spec, count_calls):
-    # the verdict and its witness share one eigendecomposition per Hankel
-    counts = count_calls(np.linalg, "eigh", "eigvalsh")
+def test_entangled_verdict_decomposes_each_hankel_once(ppt_entangled_spec, eigensolves):
+    # the verdict takes each moment Hankel's eigenvalues once; only the
+    # witness Hankel is solved again, for its eigenvector
     verdict = is_separable(ppt_entangled_spec)
     assert verdict.verdict == "entangled" and verdict.witness is not None
-    assert counts["eigh"] + counts["eigvalsh"] == 2
+    assert [name for name, _ in eigensolves] == ["eigvalsh", "eigvalsh", "eigh"]
+    witness = moment_hankels(ppt_entangled_spec.p)[verdict.witness.family == "U"]
+    np.testing.assert_array_equal(eigensolves[2][1], witness[None], strict=True)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        geometric_p(3, 3, 0.4),
+        tuple(atoms_moments((0.0, 0.4, 1.7), (0.2, 0.3, 0.1), 6, top_mass=0.05)),
+        tuple(atoms_moments((0.3, 0.8, 1.02), (0.5, 0.3, 0.2), 12)),
+        (1.0, 0.5, 0.25 - 3e-11),  # marginal
+    ],
+)
+def test_separable_verdict_solves_no_moment_hankel_for_a_vector(p, eigensolves):
+    # a verdict without a witness needs no eigenvector of a moment Hankel;
+    # eigh runs only on the Jacobi matrices of measure recovery
+    n = len(p) - 1
+    verdict = is_separable(StateSpec(n, 2, p))
+    assert verdict.verdict in ("separable", "marginal") and verdict.witness is None
+    assert [name for name, _ in eigensolves[:2]] == ["eigvalsh", "eigvalsh"]
+    hankels = moment_hankels(p)
+    for name, a in eigensolves[2:]:
+        assert name == "eigh"
+        assert not any(np.array_equal(a, h) or np.array_equal(a, h[None]) for h in hankels)
+    assert (len(eigensolves) > 2) == (verdict.verdict == "separable")
 
 
 def test_measure_atoms_reproduced_includes_mass():
