@@ -141,7 +141,7 @@ def _ppt_json(report: PPTReport) -> dict:
     return {
         "m": report.m,
         "verdict": report.verdict,
-        "checked_offsets": list(report.checked),
+        "checked_offsets": list(report.s),
         "stopped_at": report.stopped_at,
         "blocks": [
             {"s": s, "size": size, "lam_min": lo, "lam_max": hi, "margin": margin, "status": status}

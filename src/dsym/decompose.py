@@ -59,40 +59,6 @@ class SeparableEnsemble:
             for phi in (vectors if np.ndim(vectors) == 2 else (vectors,))
         )
 
-    def normalized(self) -> "SeparableEnsemble":
-        """Convex combination of unit-trace product states (weights sum to 1).
-        Its reconstruction_error is None: the terms alone do not give the
-        distance to the normalized state, which
-        ``ensemble_from_measure(..., normalize=True)`` reports."""
-        logs, units = [], []
-        for weight, phi in self.terms:
-            if weight < 0:
-                raise ValueError(f"cannot normalize an ensemble with weight {weight}")
-            log_w = math.log(weight) if weight > 0 else -math.inf
-            if not isinstance(phi, str):
-                vec = np.asarray(phi, dtype=np.complex128)
-                norm = np.linalg.norm(vec)
-                if norm == 0:
-                    continue
-                log_w += 2 * self.N * math.log(norm)
-                phi = vec / norm
-            logs.append(log_w)
-            units.append(phi)
-        weights = _convex_weights(logs, np.ones(len(logs)))
-        return SeparableEnsemble(self.N, self.d, tuple(zip(weights.tolist(), units)))
-
-
-def _convex_weights(logs, counts: np.ndarray) -> np.ndarray:
-    """Weights proportional to exp(logs) whose total over counts[g] terms of
-    weight g is 1.  The log-weights are shifted by their maximum before exp:
-    weight * norm**(2N) itself overflows for an atom t > 1 at large N."""
-    logs = np.asarray(logs, dtype=float)
-    top = logs.max(initial=-math.inf)
-    if top == -math.inf:
-        raise ValueError("cannot normalize an ensemble with zero total weight")
-    weights = np.exp(logs - top)
-    return weights / (weights * counts).sum()
-
 
 def _fourier_vectors(N: int, d: int, t: float) -> np.ndarray:
     """Rows a = 0..L-1: the Fourier vectors sum_i t^(i/2) w^(a i) |i> of ratio t."""
@@ -101,8 +67,9 @@ def _fourier_vectors(N: int, d: int, t: float) -> np.ndarray:
     L = N * (d - 1) + 1
     amps = np.array([float(t) ** (i / 2) for i in range(d)])
     # w^(a i) from its exponent reduced mod L: one rounding of exp(i theta),
-    # so every phase has unit modulus to an ulp, where complex powers of w
-    # drift by ~L ulps and `SeparableEnsemble.normalized` raises that to 2N
+    # so every phase has unit modulus to an ulp, as the closed-form norms of
+    # `ensemble_from_measure(normalize=True)` take it; complex powers of w
+    # drift by ~L ulps, which a term's trace raises to the 2N-th power
     return amps * np.exp(2j * np.pi * (np.outer(np.arange(L), np.arange(d)) % L) / L)
 
 
@@ -170,12 +137,13 @@ def ensemble_from_measure(
     built.
 
     With `normalize`, the terms are unit-trace product states with weights
-    summing to 1, as ``SeparableEnsemble.normalized`` gives them, but from
-    one log-weight per atom: every phase has unit modulus, so each Fourier
-    vector of an atom t has squared norm sum_{i<d} t^i in closed form, and
-    the atom's terms share one weight bit for bit.  The ensemble keeps one
-    group per atom, then the top state: an atom at 0 as its one vector |0>
-    (every Fourier vector degenerates to it), any other as its (L, d) array."""
+    summing to 1, from one log-weight per atom: every phase has unit
+    modulus, so each Fourier vector of an atom t has squared norm
+    sum_{i<d} t^i in closed form, and the atom's terms share one weight bit
+    for bit; the reconstruction_error is then against the normalized state.
+    The ensemble keeps one group per atom, then the top state: an atom at 0
+    as its one vector |0> (every Fourier vector degenerates to it), any
+    other as its (L, d) array."""
     N, d = spec.N, spec.d
     L = N * (d - 1) + 1
     # per group: (weight, squared norm of each vector, term count, vectors)
@@ -189,8 +157,13 @@ def ensemble_from_measure(
     if measure.top_mass > 0:
         groups.append((measure.top_mass, 1.0, 1, TOP))
     if normalize:
-        logs = [math.log(w) + N * math.log(norm2) for w, norm2, _, _ in groups]
-        weights = _convex_weights(logs, np.array([count for _, _, count, _ in groups]))
+        # shifted by the largest log-weight before exp: weight * norm2**N
+        # itself overflows for an atom t > 1 at large N
+        logs = np.array([math.log(w) + N * math.log(norm2) for w, norm2, _, _ in groups])
+        if not len(logs):
+            raise ValueError("cannot normalize an ensemble with zero total weight")
+        weights = np.exp(logs - logs.max())
+        weights /= (weights * np.array([count for _, _, count, _ in groups])).sum()
         groups = [
             (weight, 1.0, count, v if isinstance(v, str) else v / math.sqrt(norm2))
             for weight, (_, norm2, count, v) in zip(weights.tolist(), groups)

@@ -31,7 +31,7 @@ from .ppt import (
     worst_status,
 )
 from .states import StateSpec
-from .witnesses import witness_from_check
+from .witnesses import witness_from_hankel
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 
@@ -109,7 +109,7 @@ def is_generalized_moment_solution(p, tol: float = DEFAULT_PSD_TOL) -> MomentChe
     """Feasibility of the moment sequence p, deciding each moment Hankel from
     its eigenvalues alone (`psd_checks` without vectors), so with the bits of
     the m-PPT block that is the same matrix.  A witness takes its eigenvector
-    from a solve of its own (`witness_from_check`).  Raises ValueError unless
+    from a solve of its own (`witness_from_hankel`).  Raises ValueError unless
     p is a nonempty 1-d sequence of finite numbers."""
     even, odd = (psd_checks(h[None], tol).check(0) for h in moment_hankels(p))
     return MomentCheck(MOMENT_WORDS[worst_status((even.status, odd.status))], even, odd)
@@ -328,18 +328,16 @@ def is_separable(
 
     Separable verdicts carry the recovered measure, or the RecoveryError that
     explains why there is none; entangled verdicts carry a detecting witness
-    built from the lowest eigenvector of the failing Hankel.
+    built from the lowest eigenvector of the failing Hankel, the even one
+    (family V) when both fail.
     """
     check = is_generalized_moment_solution(spec.p, psd_tol)
     verdict = _SEPARABILITY[check.verdict]
     if verdict == "entangled":
-        if check.even.status == NOT_PSD and check.odd.status == NOT_PSD:
-            basis = "both"
-        elif check.even.status == NOT_PSD:
-            basis = "even-hankel"
-        else:
-            basis = "odd-hankel"
-        witness = witness_from_check(spec, check)
+        failing = [i for i, chk in enumerate((check.even, check.odd)) if chk.status == NOT_PSD]
+        i = failing[0]  # the even Hankel when both fail
+        basis = "both" if len(failing) == 2 else ("even-hankel", "odd-hankel")[i]
+        witness = witness_from_hankel(spec, "VU"[i], moment_hankels(spec.p)[i])
         return SeparabilityVerdict(verdict, basis, check.even, check.odd, witness=witness)
     if verdict == "marginal":
         return SeparabilityVerdict(verdict, "both", check.even, check.odd)

@@ -291,12 +291,6 @@ def _extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
     return _transposed_extremes(M, identity, identity[None, :])
 
 
-def min_eigenvalue(M: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix, from its quotient by
-    equal rows."""
-    return _extreme_eigenvalues(M)[0]
-
-
 def dense_ppt_check(rho: np.ndarray, mask, d: int, tol: float = DEFAULT_PSD_TOL, row_of=None):
     """Partial-transpose PSD status of a dense state from the extremes of
     its partial transpose's spectrum: (status, lam_min, lam_max).

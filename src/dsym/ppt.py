@@ -262,14 +262,6 @@ def hankel(p, size: int, shift) -> np.ndarray:
     return H
 
 
-@dataclass(frozen=True, kw_only=True)
-class BlockRecord(PsdCheck):
-    """PSD check of the Hankel block P_s, which has `size` rows."""
-
-    s: int
-    size: int
-
-
 @dataclass(frozen=True)
 class PPTReport:
     """An m-PPT check as columns, one entry per block of the sufficient set
@@ -292,22 +284,9 @@ class PPTReport:
         return PPT_WORDS[worst_status(self.status)]
 
     @property
-    def checked(self) -> tuple[int, ...]:
-        return self.s
-
-    @property
     def stopped_at(self) -> int | None:
         """The first offset whose block is not psd, or None."""
         return self.s[self.status.index(NOT_PSD)] if NOT_PSD in self.status else None
-
-    @property
-    def blocks(self) -> tuple[BlockRecord, ...]:
-        """One record per block, built from the columns when read."""
-        columns = zip(self.s, self.size, self.status, self.lam_min, self.lam_max, self.band)
-        return tuple(
-            BlockRecord(status, lam_min, lam_max, band, s=s, size=size)
-            for s, size, status, lam_min, lam_max, band in columns
-        )
 
 
 def is_m_ppt(spec: StateSpec, m: int, tol: float = DEFAULT_PSD_TOL) -> PPTReport:

@@ -5,23 +5,20 @@ Two quadratic families built on the dual restricted Dicke projectors: the
 family with coefficient vector t (degree index k+l+1).  Their expectation
 values against a diagonal state are exactly the Hankel quadratic forms
 sum s_k conj(s_l) p_{k+l} and sum t_k conj(t_l) p_{k+l+1}, so a negative
-Hankel eigenvector is a detecting witness certificate.  Everything here
-works on the coefficients alone; the dense witness matrix, for verification,
-is ``oracle.witness_matrix``.
+Hankel eigenvector is a detecting witness certificate.  `moment` builds the
+moment Hankels and picks the failing one; everything here works on that
+matrix and the coefficients alone.  The dense witness matrix, for
+verification, is ``oracle.witness_matrix``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ppt import DEFAULT_PSD_TOL, NOT_PSD, hankel, psd_checks
+from .ppt import DEFAULT_PSD_TOL, psd_checks
 from .states import StateSpec
-
-if TYPE_CHECKING:  # moment imports this module, so the check type is annotation-only
-    from .moment import MomentCheck
 
 
 def family_v_length(N: int, d: int) -> int:
@@ -59,12 +56,6 @@ class WitnessSpec:
 FAMILY_SHIFT = {"V": 0, "U": 1}
 
 
-def _hankel_form(coeffs, p, shift: int) -> float:
-    """sum_{k,l} conj(c_k) c_l p_{k+l+shift}."""
-    c = np.asarray(coeffs, dtype=np.complex128)
-    return float((c.conj() @ hankel(p, len(c), shift) @ c).real)
-
-
 def _unit_sign_fixed(vec: np.ndarray) -> np.ndarray:
     v = vec / np.linalg.norm(vec)
     for x in v:
@@ -75,28 +66,13 @@ def _unit_sign_fixed(vec: np.ndarray) -> np.ndarray:
     return v
 
 
-def witness_from_check(spec: StateSpec, check: MomentCheck) -> WitnessSpec | None:
-    """Witness from the lowest eigenvector of the more negative of the
-    decisively non-PSD moment Hankels in `check` (the even one on a tie), or
-    None when neither is decisively non-PSD.  `check` decided from
-    eigenvalues alone, so that Hankel alone is solved again, by `psd_checks`
-    with vectors; its status there is not read (the check's stands)."""
-    candidates = [
-        (chk.lam_min, family)
-        for family, chk in (("V", check.even), ("U", check.odd))
-        if chk.status == NOT_PSD
-    ]
-    if not candidates:
-        return None
-    _, family = min(candidates, key=lambda c: c[0])
-    length = (family_v_length if family == "V" else family_u_length)(spec.N, spec.d)
-    H = hankel(spec.p, length, FAMILY_SHIFT[family])
+def witness_from_hankel(spec: StateSpec, family: str, H: np.ndarray) -> WitnessSpec:
+    """Witness of `family` ("V" or "U") from the lowest eigenvector of H, the
+    family's moment Hankel of spec.p as `moment.moment_hankels` gives it.
+    The feasibility check decided H from eigenvalues alone, so H is solved
+    again, by `psd_checks` with vectors; its status there is not read."""
     vec = psd_checks(H[None], DEFAULT_PSD_TOL, vectors=True).vec[0]
-    coeffs = tuple(_unit_sign_fixed(vec.astype(np.complex128)))
-    return WitnessSpec(
-        family=family,
-        coeffs=coeffs,
-        N=spec.N,
-        d=spec.d,
-        witness_value=_hankel_form(coeffs, spec.p, FAMILY_SHIFT[family]),
-    )
+    c = _unit_sign_fixed(vec.astype(np.complex128))
+    # the Hankel form sum_{k,l} conj(c_k) c_l H[k, l], the witness's expectation value
+    value = float((c.conj() @ H @ c).real)
+    return WitnessSpec(family, tuple(c), spec.N, spec.d, value)

@@ -40,6 +40,12 @@ def group_sums(N: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return digits[:, :m].sum(axis=1), digits[:, m:].sum(axis=1)
 
 
+def block_checks(report: ppt.PPTReport) -> list[ppt.PsdCheck]:
+    """The blocks of an m-PPT report as `PsdCheck`s, zipped from its columns."""
+    columns = zip(report.status, report.lam_min, report.lam_max, report.band)
+    return [ppt.PsdCheck(*column) for column in columns]
+
+
 def geometric_p(N: int, d: int, t: float, w: float = 1.0) -> tuple[float, ...]:
     return tuple(w * t**k for k in range(N * (d - 1) + 1))
 

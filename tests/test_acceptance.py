@@ -40,8 +40,8 @@ def test_criterion_1_ppt_entangled_boundary_state():
     # (a) all three Hankel blocks PSD, so the half-split test passes
     report = is_m_ppt(spec, 1)
     assert report.verdict == "ppt"
-    for block in report.blocks:
-        assert block.lam_min >= -1e-12
+    for lam_min in report.lam_min:
+        assert lam_min >= -1e-12
 
     # (b) the 4x4 moment Hankel is decisively indefinite
     idx = np.arange(4)

@@ -24,7 +24,7 @@ from dsym.ppt import DEFAULT_PSD_TOL
 from dsym.states import StateSpec
 from dsym.witnesses import FAMILY_SHIFT
 
-from conftest import SYMMETRIZER_P, far_atom_p, fourier_terms, geometric_p
+from conftest import SYMMETRIZER_P, block_checks, far_atom_p, fourier_terms, geometric_p
 
 COUNTEREXAMPLE = {
     "N": 3,
@@ -242,31 +242,22 @@ def test_check_ppt_rows_after_the_failing_stack_are_skipped(tmp_path, capsys, tw
 
 def test_check_ppt_builds_no_block_record(tmp_path, capsys, monkeypatch):
     # check-ppt reports its rows from the report's columns: it runs with
-    # every PsdCheck and BlockRecord refused, and the records that
-    # PPTReport.blocks builds when read are those columns
+    # every PsdCheck refused, and the margin column is each block's
+    # lam_min + band, None for a skipped block
     def refused(self, *args, **kwargs):
         raise AssertionError("a per-block check was built")
 
     p = _moments(250)
     path = write_spec(tmp_path, {"N": 250, "d": 2, "p": p})
-    for cls in (ppt.PsdCheck, ppt.BlockRecord):
-        monkeypatch.setattr(cls, "__init__", refused)
+    monkeypatch.setattr(ppt.PsdCheck, "__init__", refused)
     for m in ("1", "62"):
         code, report = run(capsys, ["check-ppt", path, "--m", m])
         assert code == 0 and report["ppt"]["verdict"] == "ppt"
-    with pytest.raises(AssertionError, match="per-block"):
-        ppt.is_m_ppt(dsym.cli.parse_spec_file(path), 1).blocks
     monkeypatch.undo()
     p[120] = 0.0
     columns = ppt.is_m_ppt(StateSpec(250, 2, tuple(p)), 62)
     assert columns.status.count("skipped") > 0
-    assert columns.blocks == tuple(
-        ppt.BlockRecord(status, lam_min, lam_max, band, s=s, size=size)
-        for s, size, lam_min, lam_max, band, status in zip(
-            columns.s, columns.size, columns.lam_min, columns.lam_max, columns.band, columns.status
-        )
-    )
-    assert [b.margin for b in columns.blocks] == list(columns.margin)
+    assert [c.margin for c in block_checks(columns)] == list(columns.margin)
 
 
 def test_check_ppt_geometric(tmp_path, capsys):

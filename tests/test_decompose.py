@@ -1,6 +1,7 @@
 """Separable-ensemble construction and dense reconstruction."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -151,8 +152,13 @@ def test_reconstruction_on_random_feasible_sequences():
         assert ens.reconstruction_error < 1e-8
 
 
+def normalized_ensemble(spec):
+    """The normalized certificate of a separable spec, as `--normalize` builds it."""
+    return ensemble_from_verdict(spec, is_separable(spec), normalize=True)
+
+
 def test_normalized_ensemble_is_convex_combination():
-    ens = separable_ensemble(StateSpec(2, 2, (1.0, 0.0, 1.0))).normalized()
+    ens = normalized_ensemble(StateSpec(2, 2, (1.0, 0.0, 1.0)))
     total = sum(w for w, _ in ens.terms)
     assert total == pytest.approx(1.0)
     for _, phi in ens.terms:
@@ -162,11 +168,9 @@ def test_normalized_ensemble_is_convex_combination():
 
 def test_normalized_preserves_state_up_to_trace():
     spec = StateSpec(2, 3, geometric_p(2, 3, 0.8))
-    ens = separable_ensemble(spec)
     rho = build_state(spec)
-    normalized = ens.normalized()
     np.testing.assert_allclose(
-        ensemble_matrix(normalized),
+        ensemble_matrix(normalized_ensemble(spec)),
         rho / np.trace(rho).real,
         atol=1e-12,
     )
@@ -175,7 +179,7 @@ def test_normalized_preserves_state_up_to_trace():
 def test_normalized_weights_of_a_far_atom_at_large_n():
     # weight * norm**(2N) = w * 6**400 overflows, although every normalized
     # weight is 1/401
-    ens = separable_ensemble(StateSpec(400, 2, far_atom_p(400))).normalized()
+    ens = normalized_ensemble(StateSpec(400, 2, far_atom_p(400)))
     weights = [w for w, _ in ens.terms]
     assert len(weights) == 401
     np.testing.assert_allclose(weights, 1 / 401, rtol=1e-10)
@@ -193,17 +197,20 @@ def test_fourier_phases_have_unit_modulus_and_equal_normalized_weights():
         assert np.abs(np.abs(phases) - 1).max() <= eps
     # the far atom's 401 terms are equal up to 2N times a few ulps of their
     # norms (their spread was 8e-12 with complex powers)
-    ens = separable_ensemble(StateSpec(400, 2, far_atom_p(400))).normalized()
+    ens = normalized_ensemble(StateSpec(400, 2, far_atom_p(400)))
     weights = np.array([w for w, _ in ens.terms])
     assert np.ptp(weights) <= 2 * 400 * 4 * eps * weights.mean()
 
 
-def test_normalized_rejects_zero_and_negative_weights():
-    vec = np.array([1.0, 0.0])
+def test_normalize_refuses_an_empty_measure():
+    # the all-zero sequence is separable with no atom and no top mass: there
+    # is no weight to scale to 1
+    spec = StateSpec(2, 2, (0.0, 0.0, 0.0))
+    measure = is_separable(spec).atoms
+    assert measure == MeasureAtoms((), 0.0, 0.0)
+    assert ensemble_from_measure(spec, measure).groups == ()
     with pytest.raises(ValueError, match="zero total weight"):
-        SeparableEnsemble(2, 2, ((0.0, vec), (1.0, np.zeros(2)))).normalized()
-    with pytest.raises(ValueError, match="weight -1"):
-        SeparableEnsemble(2, 2, ((2.0, vec), (-1.0, "top"))).normalized()
+        ensemble_from_measure(spec, measure, normalize=True)
 
 
 @pytest.mark.parametrize(
@@ -237,9 +244,14 @@ def test_normalized_measure_ensemble_has_one_weight_per_atom(N, d, atoms, top):
     for _, phi in ens.terms:
         if not isinstance(phi, str):
             assert abs(np.linalg.norm(phi) - 1) <= 4 * np.finfo(float).eps
-    # the same convex combination as the term-by-term normalization
-    unnormalized = ensemble_from_measure(spec, measure).normalized()
-    np.testing.assert_allclose(total, [w for w, _ in unnormalized.terms], rtol=1e-12)
+    # the same convex combination as normalizing term by term, each term's
+    # weight * |phi|^(2N) taken in logs (it overflows for the far atom)
+    logs = np.array([
+        math.log(w) + (0.0 if isinstance(phi, str) else 2 * N * math.log(np.linalg.norm(phi)))
+        for w, phi in ensemble_from_measure(spec, measure).terms
+    ])
+    reference = np.exp(logs - logs.max())
+    np.testing.assert_allclose(total, reference / reference.sum(), rtol=1e-12)
     if d**N <= 4096:
         rho = build_state(spec, normalize=True)
         np.testing.assert_allclose(ensemble_matrix(ens), rho, atol=1e-12 * np.abs(rho).max())

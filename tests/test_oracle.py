@@ -14,7 +14,6 @@ from dsym.oracle import (
     _extreme_eigenvalues,
     dense_ppt_check,
     ensemble_matrix,
-    min_eigenvalue,
     partial_transpose,
 )
 from dsym.ppt import DEFAULT_PSD_TOL, PsdCheck, is_m_ppt
@@ -137,13 +136,13 @@ def test_check_d_symmetry():
 
 
 def test_min_eigenvalue_examples():
-    assert min_eigenvalue(np.eye(3)) == pytest.approx(1.0)
+    assert _extreme_eigenvalues(np.eye(3))[0] == pytest.approx(1.0)
     flip = np.zeros((4, 4), dtype=complex)
     flip[1, 2] = 1.0
     flip[2, 1] = 1.0
-    assert min_eigenvalue(flip) == pytest.approx(-1.0)
+    assert _extreme_eigenvalues(flip)[0] == pytest.approx(-1.0)
     with pytest.raises(ValueError):
-        min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        _extreme_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_min_eigenvalue_sign_matches_fast_path():
@@ -333,10 +332,10 @@ def test_split_spectrum_edge_cases():
         _assert_extremes_match(np.linalg.eigvalsh(M), *_extreme_eigenvalues(M))
     assert _extreme_eigenvalues(np.zeros((5, 5))) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        min_eigenvalue(np.ones((2, 3)))
+        _extreme_eigenvalues(np.ones((2, 3)))
     for M in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):
         with pytest.raises(ValueError, match="matrix is empty"):
-            min_eigenvalue(M)
+            _extreme_eigenvalues(M)
 
 
 def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
@@ -351,7 +350,7 @@ def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
             with pytest.raises(ValueError, match="Hermitian"):
                 dense_ppt_check(bad, mask, 3)
         with pytest.raises(ValueError, match="Hermitian"):
-            min_eigenvalue(bad)
+            _extreme_eigenvalues(bad)
     bad = rho.astype(complex)
     bad[5, 5] += 1e-6j
     with pytest.raises(ValueError, match="Hermitian"):
@@ -359,7 +358,7 @@ def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
     # the test is relative to the largest entry: asymmetric by 1.0 of it,
     # though under 1e-12 in absolute terms, fails; rounding passes at any scale
     with pytest.raises(ValueError, match="Hermitian"):
-        min_eigenvalue(np.array([[1e-20, 1e-15], [0.0, 1e-20]]))
+        _extreme_eigenvalues(np.array([[1e-20, 1e-15], [0.0, 1e-20]]))
     for scale in (1.0, 1e6, 1e-20):
         near = scale * rho
         near[0, 26] = 1e-14 * scale
@@ -499,12 +498,12 @@ def test_equal_rows_with_unequal_columns_are_not_hermitian(ppt_entangled_spec):
     # the quotient by equal rows is Hermitian in both cases; only the
     # columns of the distinct rows, split within a class, show the asymmetry
     with pytest.raises(ValueError, match="not Hermitian"):
-        min_eigenvalue(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        _extreme_eigenvalues(np.array([[1.0, 2.0], [1.0, 2.0]]))
     pt = partial_transpose(build_state(ppt_entangled_spec), (1, 0, 0), 3)
     assert (pt[0] != pt[1]).any()
     pt[1] = pt[0]
     with pytest.raises(ValueError, match="not Hermitian"):
-        min_eigenvalue(pt)
+        _extreme_eigenvalues(pt)
 
 
 @pytest.fixture
@@ -543,7 +542,7 @@ def test_colliding_hashes_still_reject_bad_input(one_hash, ppt_entangled_spec):
         with pytest.raises(ValueError, match="non-finite"):
             dense_ppt_check(bad_rho, (1, 0, 0), 3)
     with pytest.raises(ValueError, match="not Hermitian"):
-        min_eigenvalue(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        _extreme_eigenvalues(np.array([[1.0, 2.0], [1.0, 2.0]]))
     bad_rho = rho.copy()
     bad_rho[0, 26] = 1e-6
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -565,7 +564,7 @@ def test_non_finite_entries_are_rejected(bad, ppt_entangled_spec):
             np.array(later, dtype=complex),
         ):
             with pytest.raises(ValueError, match="non-finite"):
-                min_eigenvalue(np.array(M))
+                _extreme_eigenvalues(np.array(M))
         rho = build_state(ppt_entangled_spec)
         for i, j in [(0, 0), (4, 12), (0, 26)]:
             bad_rho = rho.copy()

@@ -22,7 +22,7 @@ from dsym.ppt import (
 )
 from dsym.states import StateSpec, build_state, composition_counts
 
-from conftest import PPT_ENTANGLED_P, group_sums, random_spec
+from conftest import PPT_ENTANGLED_P, block_checks, group_sums, random_spec
 from paper_objects import offset_supports
 
 
@@ -39,10 +39,10 @@ def test_hankel_block_counterexample_matrices(ppt_entangled_spec):
     p = ppt_entangled_spec.p
     blocks = [[[p[i + j + s] for j in range(3)] for i in range(3)] for s in range(3)]
     report = is_m_ppt(ppt_entangled_spec, 1)
-    assert [r.size for r in report.blocks] == [3, 3, 3]
-    for record, block in zip(report.blocks, blocks):
+    assert report.size == (3, 3, 3)
+    for lam_min, lam_max, block in zip(report.lam_min, report.lam_max, blocks):
         ev = np.linalg.eigvalsh(block)
-        assert (record.lam_min, record.lam_max) == (ev[0], ev[-1])
+        assert (lam_min, lam_max) == (ev[0], ev[-1])
 
 
 def test_hankel_block_all_ones():
@@ -50,10 +50,11 @@ def test_hankel_block_all_ones():
     # with eigenvalues 0 and its size
     for N, d in [(3, 3), (4, 3), (5, 2)]:
         for m in range(1, N // 2 + 1):
-            for record in is_m_ppt(StateSpec(N, d, (1.0,) * (N * (d - 1) + 1)), m).blocks:
-                assert record.status == "psd"
-                assert record.lam_max == pytest.approx(record.size)
-                assert record.lam_min == pytest.approx(0.0, abs=1e-12 * record.size)
+            report = is_m_ppt(StateSpec(N, d, (1.0,) * (N * (d - 1) + 1)), m)
+            for size, check in zip(report.size, block_checks(report)):
+                assert check.status == "psd"
+                assert check.lam_max == pytest.approx(size)
+                assert check.lam_min == pytest.approx(0.0, abs=1e-12 * size)
 
 
 def test_hankel_block_entries_exact(monkeypatch):
@@ -74,12 +75,12 @@ def test_hankel_block_entries_exact(monkeypatch):
             stacks.clear()
             report = is_m_ppt(StateSpec(4, 3, tuple(p)), m)
             decided = [matrix for stack in stacks for matrix in stack]
-            kept = [r for r in report.blocks if r.status != "skipped"]
-            assert report.blocks[: len(kept)] == tuple(kept)
+            kept = [st for st in report.status if st != "skipped"]
+            assert report.status[: len(kept)] == tuple(kept)
             assert len(decided) == len(kept)
-            assert len(kept) == len(report.blocks) or kept[-1].status == "not-psd"
-            for record, matrix in zip(kept, decided):
-                np.testing.assert_array_equal(matrix, hankel_block(p, 4, 3, m, record.s))
+            assert len(kept) == len(report.s) or kept[-1] == "not-psd"
+            for s, matrix in zip(report.s, decided):
+                np.testing.assert_array_equal(matrix, hankel_block(p, 4, 3, m, s))
     assert report.verdict == "ppt"  # the geometric mixture
 def test_is_psd_examples():
     chk = is_psd(np.eye(3))
@@ -93,7 +94,7 @@ def test_is_psd_examples():
     assert is_psd(h4).status == "not-psd"
 
 
-def test_is_psd_vector_and_margin():
+def test_is_psd_vector_and_margin(eigensolves):
     M = np.array([[2.0, 1.0], [1.0, 2.0]])
     chk = is_psd(M)
     np.testing.assert_allclose(M @ chk.vec, chk.lam_min * chk.vec, atol=1e-14)
@@ -102,8 +103,10 @@ def test_is_psd_vector_and_margin():
     assert chk.margin == chk.lam_min + chk.band
     empty = is_psd(np.zeros((0, 0)))
     assert empty.vec is None and empty.margin is None
-    # stacked block records carry no eigenvector
-    assert all(r.vec is None for r in is_m_ppt(StateSpec(2, 2, (1.0, 0.5, 1.0)), 1).blocks)
+    # the m-PPT blocks are decided from eigenvalues alone
+    eigensolves.clear()
+    is_m_ppt(StateSpec(2, 2, (1.0, 0.5, 1.0)), 1)
+    assert {name for name, _ in eigensolves} == {"eigvalsh"}
 
 
 def test_hankel_windows():
@@ -178,16 +181,16 @@ def test_is_psd_marginal_band():
 def test_counterexample_is_1_ppt(ppt_entangled_spec):
     report = is_m_ppt(ppt_entangled_spec, 1)
     assert report.verdict == "ppt"
-    assert report.checked == (0, 1, 2)
-    assert all(b.lam_min > 0 for b in report.blocks)
+    assert report.s == (0, 1, 2)
+    assert all(lam_min > 0 for lam_min in report.lam_min)
 
 
 def test_is_m_ppt_simple_example():
     report = is_m_ppt(StateSpec(2, 2, (1.0, 0.0, 1.0)), 1)
     assert report.verdict == "ppt"
     # blocks are [[1,0],[0,1]] and [0]
-    assert report.blocks[0].lam_min == pytest.approx(1.0)
-    assert report.blocks[1].lam_min == pytest.approx(0.0, abs=1e-15)
+    assert report.lam_min[0] == pytest.approx(1.0)
+    assert report.lam_min[1] == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("N,d", [(2, 2), (3, 2), (4, 2), (2, 3), (4, 3)])
@@ -203,7 +206,7 @@ def test_is_m_ppt_marginal_verdict():
     p[2] -= 3e-11
     report = is_m_ppt(StateSpec(2, 2, tuple(p)), 1)
     assert report.verdict == "marginal"
-    assert report.blocks[0].status == "marginal"
+    assert report.status[0] == "marginal"
 
 
 def test_is_m_ppt_m_out_of_range():
@@ -373,7 +376,7 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
             monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
             report = is_m_ppt(spec, m, tol)
             monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-            assert report.checked == ppt_offsets(N, d, m)
+            assert report.s == ppt_offsets(N, d, m)
             refs = [PsdCheck.from_extremes(ev[0], ev[-1], tol) for _, ev in reference]
             block_0_passed += refs[0].status != "not-psd"
             assert report.verdict == ppt.PPT_WORDS[worst_status(r.status for r in refs)]
@@ -382,11 +385,12 @@ def test_stacked_blocks_equal_per_block_decisions(monkeypatch, two_cpus, N, d, m
             # block, skipped after it
             first = statuses.index("not-psd") if "not-psd" in statuses else None
             end = len(refs) if first is None else stack_end(N, d, m, first)
-            assert report.stopped_at == (None if first is None else report.checked[first])
+            assert report.stopped_at == (None if first is None else report.s[first])
             if atomic:
                 assert end == len(refs)  # every block decided
-            for i, (record, ref, (size, _)) in enumerate(zip(report.blocks, refs, reference)):
-                assert record.size == size
+            records = zip(report.size, block_checks(report), refs, reference)
+            for i, (record_size, record, ref, (size, _)) in enumerate(records):
+                assert record_size == size
                 if i >= end:
                     assert record.status == "skipped"
                     assert (record.lam_min, record.lam_max, record.band, record.margin) == (None,) * 4
@@ -432,7 +436,7 @@ def test_more_threads_than_cpus_decide_every_stack_once(monkeypatch, two_cpus):
     assert two_cpus == [f"dsym-ppt_{i}" for i in range(len(two_cpus))]
     assert 1 <= len(two_cpus) <= 8
     assert calls == [1] * 121
-    assert pooled.checked == tuple(range(121))
+    assert pooled.s == tuple(range(121))
     assert pooled == serial
 
 
@@ -453,7 +457,7 @@ def test_pooled_stop_equals_serial_stop(monkeypatch, two_cpus):
     serial = is_m_ppt(spec, 40)
     assert calls == [1] * 31 and not two_cpus
     assert serial.verdict == "not-ppt" and serial.stopped_at == 30
-    assert [r.status for r in serial.blocks] == ["psd"] * 30 + ["not-psd"] + ["skipped"] * 90
+    assert serial.status == ("psd",) * 30 + ("not-psd",) + ("skipped",) * 90
     monkeypatch.setattr(ppt, "_cpus", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -483,7 +487,7 @@ def test_early_reject_decides_block_0_alone_on_the_calling_thread(monkeypatch, t
     assert calls == [((1, 101, 101), threading.current_thread())]
     assert not two_cpus
     assert report.verdict == "not-ppt" and report.stopped_at == 0
-    assert [r.status for r in report.blocks] == ["not-psd"] + ["skipped"] * 200
+    assert report.status == ("not-psd",) + ("skipped",) * 200
 
 
 def test_one_cpu_starts_no_thread(monkeypatch):
@@ -495,7 +499,7 @@ def test_one_cpu_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start)
     report = is_m_ppt(atomic_spec(400), 100)
-    assert [r.status for r in report.blocks] == ["psd"] * 201
+    assert report.status == ("psd",) * 201
 
 
 def test_threads_leave_room_for_blas(monkeypatch):

@@ -170,6 +170,26 @@ def test_detecting_witness_on_entangled_state(ppt_entangled_spec):
     assert dense_value(w, ppt_entangled_spec) == pytest.approx(w.witness_value, rel=1e-10)
 
 
+def test_both_hankels_failing_give_the_even_witness():
+    # both moment Hankels fail, the odd one (lam_min 1 - sqrt 5) further than
+    # the even one ((3 - sqrt 17) / 2): the witness is still the even
+    # Hankel's, family V, so the family does not hang on which minimum
+    # eigenvalue is lower
+    verdict = is_separable(StateSpec(3, 2, (1.0, 2.0, 2.0, 0.0)))
+    assert verdict.basis == "both"
+    assert verdict.odd.lam_min < verdict.even.lam_min < 0
+    assert verdict.witness.family == "V"
+    assert verdict.witness.witness_value == pytest.approx(verdict.even.lam_min)
+    rng = np.random.default_rng(38)
+    both = 0
+    for _ in range(60):
+        verdict = is_separable(random_spec(rng, int(rng.integers(2, 6)), int(rng.integers(2, 4))))
+        if verdict.basis == "both" and verdict.verdict == "entangled":
+            both += 1
+            assert verdict.witness.family == "V"
+    assert both > 5
+
+
 def _form_and_slack(w, p):
     """The witness's Hankel form sum_{k,l} conj(c_k) c_l p_{k+l+shift}, summed
     term by term, and its rounding scale 1e-12 * sum |c_k| |c_l| |p_{k+l+shift}|."""
