@@ -24,7 +24,14 @@ from dsym.ppt import DEFAULT_PSD_TOL
 from dsym.states import StateSpec
 from dsym.witnesses import FAMILY_SHIFT
 
-from conftest import SYMMETRIZER_P, block_checks, far_atom_p, fourier_terms, geometric_p
+from conftest import (
+    DENSE_VERIFY_MIX,
+    SYMMETRIZER_P,
+    block_checks,
+    far_atom_p,
+    fourier_terms,
+    geometric_p,
+)
 
 COUNTEREXAMPLE = {
     "N": 3,
@@ -686,6 +693,44 @@ def test_oracle_verify_builds_no_dense_state(tmp_path, capsys, count_calls, N, d
         assert (code, json.loads(out)["oracle"]) == (expected[0], expected[1]["oracle"])
         assert peak < dense_bytes / 8, (mask, peak)
     assert counts == {"build_state": 0, "digit_sum_operator": 0}
+
+
+def _quotient_by_equal_rows(P):
+    """P at the first row and column of each class of exactly equal rows, in
+    first-row order, scaled on both sides by the root of the class sizes."""
+    first, sizes = {}, {}
+    for i, row in enumerate(map(tuple, P.tolist())):
+        first.setdefault(row, i)
+        sizes[row] = sizes.get(row, 0) + 1
+    r = np.array(list(first.values()))
+    root = np.sqrt(np.array(list(sizes.values()), dtype=float))
+    Q = P[np.ix_(r, r)]
+    Q *= root[:, None]
+    Q *= root
+    return Q
+
+
+@pytest.mark.parametrize("d, N", DENSE_VERIFY_MIX)
+def test_oracle_verify_eigensolves_the_partial_transposes_own_quotient(tmp_path, capsys, eigensolves, d, N):
+    # the one matrix the oracle hands eigvalsh is, byte for byte, the
+    # quotient of the built partial transpose by its own equal rows
+    rng = np.random.default_rng(91)
+    p = rng.uniform(0.0, 1.0, N * (d - 1) + 1)
+    with_zeros = p.copy()
+    with_zeros[rng.choice(len(p), size=len(p) // 3, replace=False)] = 0.0
+    w = N // 2
+    for q in (p, with_zeros):
+        spec = StateSpec(N, d, tuple(q))
+        path = write_spec(tmp_path, {"N": N, "d": d, "p": q.tolist()})
+        for mask in ("1" * w + "0" * (N - w), ("10" * N)[:N]):
+            eigensolves.clear()
+            run(capsys, ["oracle-verify", path, "--mask", mask])
+            name, received = eigensolves[0]
+            P = dsym.oracle.partial_transpose(dsym.states.build_state(spec), [int(b) for b in mask], d)
+            expected = _quotient_by_equal_rows(P)
+            assert name == "eigvalsh", (mask, q is p)
+            assert (received.dtype, received.shape) == (expected.dtype, expected.shape)
+            assert received.tobytes() == expected.tobytes(), (mask, q is p)
 
 
 def test_oracle_verify_not_psd_exit_1(tmp_path, capsys):
