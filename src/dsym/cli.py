@@ -31,7 +31,7 @@ from .moment import (
 )
 from .oracle import dense_ppt_check
 from .ppt import DEFAULT_PSD_TOL, PPT_WORDS, PPTReport, is_m_ppt
-from .states import StateSpec, digit_sum_rows
+from .states import StateSpec, digit_sum_core
 from .witnesses import WitnessSpec
 
 EXIT_POSITIVE = 0
@@ -178,6 +178,13 @@ def _emit(report: dict, started: float, parsed: float, decided: float) -> None:
     sys.stdout.write(text + "\n")
 
 
+def _recovery_refused(report: dict, exc: RecoveryError) -> None:
+    """A separable verdict without a recovered measure: the certificate
+    stays null, with the failed recovery as its reason, also on stderr."""
+    report["certificate_reason"] = str(exc)
+    print(f"certificate unavailable: {exc}", file=sys.stderr)
+
+
 _VERDICT_EXIT = {
     "ppt": EXIT_POSITIVE,
     "separable": EXIT_POSITIVE,
@@ -210,8 +217,7 @@ def cmd_check_separable(args, psd_tol: float, residual_tol: float) -> int:
     report["certificate"] = None
     if args.certificate:
         if verdict.recovery_error is not None:
-            report["certificate_reason"] = str(verdict.recovery_error)
-            print(f"certificate unavailable: {verdict.recovery_error}", file=sys.stderr)
+            _recovery_refused(report, verdict.recovery_error)
         elif verdict.verdict == "separable":
             ensemble = ensemble_from_verdict(spec, verdict, args.normalize)
             report["certificate"] = _ensemble_json(ensemble)
@@ -228,8 +234,8 @@ def cmd_oracle_verify(args, psd_tol: float, residual_tol: float) -> int:
     spec = parse_spec_file(args.spec_file)
     parsed = time.perf_counter()
     mask = tuple(int(c) for c in args.mask)
-    rows, sums = digit_sum_rows(spec.N, spec.d, spec.p)
-    status, lam_min, lam_max = dense_ppt_check(rows, mask, spec.d, psd_tol, sums)
+    core, sums = digit_sum_core(spec.N, spec.d, spec.p)
+    status, lam_min, lam_max = dense_ppt_check(core, mask, spec.d, psd_tol, sums)
     oracle = {
         "mask": list(mask),
         "lam_min": lam_min,
@@ -259,11 +265,13 @@ def cmd_decompose(args, psd_tol: float, residual_tol: float) -> int:
     decided = time.perf_counter()
     report = _base_report("decompose", spec, psd_tol, residual_tol)
     report["separability"] = _separability_json(verdict)
+    report["certificate"] = None
     try:
         report["certificate"] = _ensemble_json(ensemble_from_verdict(spec, verdict, args.normalize))
     except NotSeparableError as exc:
-        report["certificate"] = None
         report["certificate_reason"] = str(exc)
+    except RecoveryError as exc:
+        _recovery_refused(report, exc)
     _emit(report, started, parsed, decided)
     return _VERDICT_EXIT[verdict.verdict]
 
@@ -358,7 +366,7 @@ def main(argv=None) -> int:
         residual_tol = args.residual_tol
     try:
         return args.func(args, psd_tol, residual_tol)
-    except (OSError, json.JSONDecodeError, ValueError, RecoveryError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

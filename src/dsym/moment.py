@@ -16,7 +16,8 @@ first that reproduces every moment, p_n's surplus as top mass, is the certificat
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .ppt import (
     worst_status,
 )
 from .states import StateSpec
-from .witnesses import witness_from_hankel
+from .witnesses import WitnessSpec, witness_from_hankel
 
 DEFAULT_RESIDUAL_TOL = 1e-9
 
@@ -314,8 +315,20 @@ class SeparabilityVerdict:
     even: PsdCheck
     odd: PsdCheck
     atoms: MeasureAtoms | None = None
-    witness: object | None = None  # WitnessSpec when entangled
     recovery_error: RecoveryError | None = None  # separable without atoms
+    # the state of an entangled verdict, which its witness is built from
+    _spec: StateSpec | None = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> WitnessSpec | None:
+        """The detecting witness of an entangled verdict, from the lowest
+        eigenvector of the failing moment Hankel (the even one, family V,
+        when both fail), built on first read: only a certificate reads it.
+        None for every other verdict."""
+        if self._spec is None:
+            return None
+        i = int(self.basis == "odd-hankel")
+        return witness_from_hankel(self._spec, "VU"[i], moment_hankels(self._spec.p)[i])
 
 
 def is_separable(
@@ -328,17 +341,17 @@ def is_separable(
 
     Separable verdicts carry the recovered measure, or the RecoveryError that
     explains why there is none; entangled verdicts carry a detecting witness
-    built from the lowest eigenvector of the failing Hankel, the even one
-    (family V) when both fail.
+    built, on first read, from the lowest eigenvector of the failing Hankel,
+    the even one (family V) when both fail.
     """
     check = is_generalized_moment_solution(spec.p, psd_tol)
     verdict = _SEPARABILITY[check.verdict]
     if verdict == "entangled":
         failing = [i for i, chk in enumerate((check.even, check.odd)) if chk.status == NOT_PSD]
-        i = failing[0]  # the even Hankel when both fail
-        basis = "both" if len(failing) == 2 else ("even-hankel", "odd-hankel")[i]
-        witness = witness_from_hankel(spec, "VU"[i], moment_hankels(spec.p)[i])
-        return SeparabilityVerdict(verdict, basis, check.even, check.odd, witness=witness)
+        basis = "both" if len(failing) == 2 else ("even-hankel", "odd-hankel")[failing[0]]
+        entangled = SeparabilityVerdict(verdict, basis, check.even, check.odd)
+        object.__setattr__(entangled, "_spec", spec)
+        return entangled
     if verdict == "marginal":
         return SeparabilityVerdict(verdict, "both", check.even, check.odd)
     try:

@@ -19,13 +19,14 @@ modules that build dense arrays, and the Hankel classification path in the
 ppt/moment modules has no cap.
 
 Dense operators are built by kernels over ``digit_table``:
-``digit_sum_rows`` gives the rows of sum_k v_k |R_k><R_k|, one per digit sum
-(rows of equal digit sum are equal), with the digit sums as the row map;
-``digit_sum_operator`` writes that matrix from them in one row gather
-(states, ``oracle.witness_matrix``); ``product_powers`` gives the tensor
-powers phi^(tensor N) (``oracle.ensemble_matrix``).  No d**N x d**N
-temporary is made, and the CLI's dense check stops at the rows:
-``oracle.dense_ppt_check`` takes a state as its rows and row map.
+``digit_sum_core`` gives the core of sum_k v_k |R_k><R_k|, the
+(N(d-1)+1) x (N(d-1)+1) diag(v), with the digit sums as the index map: the
+matrix is core[sums][:, sums]; ``digit_sum_operator`` writes it from them,
+its N(d-1)+1 distinct rows first and then one row gather (states,
+``oracle.witness_matrix``); ``product_powers`` gives the tensor powers
+phi^(tensor N) (``oracle.ensemble_matrix``).  No d**N x d**N temporary is
+made, and the CLI's dense check stops at the core:
+``oracle.dense_ppt_check`` takes a state as its core and index map.
 """
 
 from __future__ import annotations
@@ -139,27 +140,27 @@ class StateSpec:
         object.__setattr__(self, "p", p)
 
 
-def digit_sum_rows(N: int, d: int, values) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of sum_k values[k] |R_k><R_k|, one per digit sum, and the
-    row map, as (rows, sums): rows is (N(d-1)+1, d**N), its row k the row of
-    every basis index of digit sum k (values[k] on digit sum k, else +0.0,
-    also when values[k] is negative), and sums holds the digit sums, so the
-    matrix is rows[sums].  Checks the dense cap like the matrix it stands
-    for."""
+def digit_sum_core(N: int, d: int, values) -> tuple[np.ndarray, np.ndarray]:
+    """The core of sum_k values[k] |R_k><R_k| and its index map, as
+    (core, sums): core is diag(values), (N(d-1)+1) x (N(d-1)+1) with +0.0
+    off the diagonal, and sums holds the digit sums, so the matrix is
+    core[sums][:, sums] (values[k] where both digit sums are k, else +0.0,
+    also when values[k] is negative).  Checks the dense cap like the matrix
+    it stands for."""
     check_dense_cap(N, d)
     values = np.asarray(values, dtype=float)
     if values.shape != (N * (d - 1) + 1,):
         raise ValueError(f"expected one value per digit sum 0..{N * (d - 1)}, got {values.shape}")
-    sums = digit_sums(N, d)
-    return np.where(sums == np.arange(len(values))[:, None], values[:, None], 0.0), sums
+    return np.diag(values), digit_sums(N, d)
 
 
 def digit_sum_operator(N: int, d: int, values) -> np.ndarray:
     """Dense real sum_k values[k] |R_k><R_k| over the restricted Dicke vectors
     R_k: entry (i, j) is values[k] when both digit sums are k, else +0.0
-    (also when values[k] is negative)."""
-    rows, sums = digit_sum_rows(N, d, values)
-    return rows.take(sums, axis=0)
+    (also when values[k] is negative).  Its distinct rows, one per digit
+    sum, are gathered from the core first, then the matrix from them."""
+    core, sums = digit_sum_core(N, d, values)
+    return core.take(sums, axis=1).take(sums, axis=0)
 
 
 def product_powers(N: int, d: int, phis) -> np.ndarray:

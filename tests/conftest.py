@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dsym import StateSpec, ppt
+from dsym import StateSpec, oracle, ppt
 from dsym.states import digit_table
 
 # Three-qutrit sequence that is 1-PPT but entangled: the boundary case
@@ -38,6 +38,20 @@ def group_sums(N: int, d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     p[a_i + b_j] on its offset blocks."""
     digits = digit_table(N, d)
     return digits[:, :m].sum(axis=1), digits[:, m:].sum(axis=1)
+
+
+def extreme_eigenvalues(M: np.ndarray) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a Hermitian matrix, from the
+    oracle's one eigensolve of its quotient by equal rows: the zero-mask
+    case, whose map is the identity and whose index table is one row,
+    0..n-1, so the matrix is its own partial transpose and any n is
+    allowed."""
+    M = np.ascontiguousarray(M)  # one layout, so one row hash for every layout
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not len(M):
+        raise ValueError("matrix is empty")
+    return oracle._transposed_extremes(M, None, np.arange(len(M))[None, :])
 
 
 def block_checks(report: ppt.PPTReport) -> list[ppt.PsdCheck]:

@@ -406,6 +406,19 @@ def test_entangled_certificate_decomposes_each_hankel_once(tmp_path, capsys, eig
     np.testing.assert_array_equal(eigensolves[2][1], H[None], strict=True)
 
 
+def test_only_a_certificate_builds_the_witness(tmp_path, capsys, eigensolves):
+    # decompose reports no witness, so its entangled verdict solves each
+    # moment Hankel for eigenvalues alone and never for a vector
+    path = write_spec(tmp_path, COUNTEREXAMPLE)
+    code, report = run(capsys, ["decompose", path])
+    assert code == 1 and report["certificate"] is None
+    assert [name for name, _ in eigensolves] == ["eigvalsh", "eigvalsh"]
+    eigensolves.clear()
+    code, report = run(capsys, ["check-separable", path, "--certificate"])
+    assert code == 1 and report["certificate"]["type"] == "witness"
+    assert [name for name, _ in eigensolves].count("eigh") == 1
+
+
 def _agreement_specs():
     """Specs where the PPT blocks s = 0 and 1 at m = N // 2 are the two moment
     Hankels (even N, and odd N for qubits): seeded random, separable and
@@ -514,13 +527,22 @@ def test_missing_certificate_states_its_reason(unrecovered, capsys):
     assert "certificate unavailable" in captured.err
 
 
-def test_decompose_refuses_without_recovered_measure(unrecovered, capsys):
+def test_decompose_reports_a_failed_recovery(unrecovered, capsys):
+    # as check-separable --certificate does: the separable verdict's exit
+    # code and a report whose null certificate says why
     path = unrecovered
     code = main(["decompose", path])
     captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("error: no atomic measure met the residual bound")
+    report = json.loads(captured.out)
+    assert code == 0
+    assert report["separability"]["verdict"] == "separable"
+    assert report["certificate"] is None
+    assert report["certificate_reason"].startswith("no atomic measure met the residual bound")
+    assert captured.err.startswith("certificate unavailable: no atomic measure met the residual bound")
+    main(["check-separable", path, "--certificate"])
+    separable = capsys.readouterr()
+    assert separable.err == captured.err
+    assert json.loads(separable.out)["certificate_reason"] == report["certificate_reason"]
 
 
 MARGINAL = {"N": 2, "d": 2, "p": [1.0, 0.5, 0.25 - 3e-11]}
@@ -587,10 +609,9 @@ def test_empty_far_atom_is_refused_on_its_residual(tmp_path, capsys):
     assert "radau rule, 6 atoms: residual" in report["certificate_reason"]
     assert "overflow" not in report["certificate_reason"]
 
-    assert main(["decompose", path]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: no atomic measure met the residual bound")
+    code, decomposed = run(capsys, ["decompose", path])
+    assert code == 0 and decomposed["certificate"] is None
+    assert decomposed["certificate_reason"] == report["certificate_reason"]
 
 
 def test_oracle_verify_counterexample_masks(tmp_path, capsys):

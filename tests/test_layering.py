@@ -19,11 +19,11 @@ PRODUCTION = ("dsym.ppt", "dsym.moment", "dsym.witnesses", "dsym.decompose")
 DENSE_KERNELS = (
     "check_dense_cap",
     "digit_table",
-    "digit_sum_rows",
+    "digit_sum_core",
     "digit_sum_operator",
     "product_powers",
 )
-STATES_BUILDERS = ("build_state", "digit_sum_rows", "digit_sum_operator", "product_powers")
+STATES_BUILDERS = ("build_state", "digit_sum_core", "digit_sum_operator", "product_powers")
 # the public names of the dense layer: the paper's verification-only objects
 # are built from these in tests/paper_objects.py
 DENSE_LAYER = {
@@ -35,8 +35,8 @@ DENSE_LAYER = {
         "check_dense_cap",
         "composition_counts",
         "dense_cap",
+        "digit_sum_core",
         "digit_sum_operator",
-        "digit_sum_rows",
         "digit_sums",
         "digit_table",
         "product_powers",

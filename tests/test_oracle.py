@@ -10,16 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsym import oracle
-from dsym.oracle import (
-    _extreme_eigenvalues,
-    dense_ppt_check,
-    ensemble_matrix,
-    partial_transpose,
-)
+from dsym.oracle import dense_ppt_check, ensemble_matrix, partial_transpose
 from dsym.ppt import DEFAULT_PSD_TOL, PsdCheck, is_m_ppt
-from dsym.states import StateSpec, build_state, digit_sum_rows
+from dsym.states import StateSpec, build_state, digit_sum_core
 
-from conftest import DENSE_VERIFY_MIX, group_sums, random_spec
+from conftest import DENSE_VERIFY_MIX, extreme_eigenvalues, group_sums, random_spec
 from paper_objects import check_d_symmetry, offset_supports, permutation_operator, sigma_z
 
 
@@ -136,13 +131,13 @@ def test_check_d_symmetry():
 
 
 def test_min_eigenvalue_examples():
-    assert _extreme_eigenvalues(np.eye(3))[0] == pytest.approx(1.0)
+    assert extreme_eigenvalues(np.eye(3))[0] == pytest.approx(1.0)
     flip = np.zeros((4, 4), dtype=complex)
     flip[1, 2] = 1.0
     flip[2, 1] = 1.0
-    assert _extreme_eigenvalues(flip)[0] == pytest.approx(-1.0)
+    assert extreme_eigenvalues(flip)[0] == pytest.approx(-1.0)
     with pytest.raises(ValueError):
-        _extreme_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        extreme_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_min_eigenvalue_sign_matches_fast_path():
@@ -274,7 +269,7 @@ def test_complex_rows_hash_into_the_real_rows_classes(monkeypatch):
         p[rng.choice(len(p), size=len(p) // 3, replace=False)] = 0.0
         rho = build_state(StateSpec(N, d, tuple(p)))
         mask = tuple(int(b) for b in rng.integers(0, 2, N))
-        for extremes in (_extreme_eigenvalues, lambda M: dense_ppt_check(M, mask, d)[1:]):
+        for extremes in (extreme_eigenvalues, lambda M: dense_ppt_check(M, mask, d)[1:]):
             seen.clear()
             real, cplx = extremes(rho), extremes(rho.astype(complex))
             quotient, complex_quotient = seen
@@ -323,19 +318,19 @@ def test_split_spectrum_matches_full_eigvalsh_on_planted_blocks(dtype):
     for _ in range(40):
         sizes = rng.choice([0, 1, 1, 2, 3, 5, 8, -4, -9], size=int(rng.integers(1, 9)))
         M, _ = _planted(rng, sizes, dtype)
-        _assert_extremes_match(np.linalg.eigvalsh(M), *_extreme_eigenvalues(M))
+        _assert_extremes_match(np.linalg.eigvalsh(M), *extreme_eigenvalues(M))
 
 
 def test_split_spectrum_edge_cases():
     for M in ([[2.5]], [[0.0]], [[-1.0 + 0j]], np.zeros((5, 5)), np.diag([3.0, -1.0, 0.0])):
         M = np.asarray(M)
-        _assert_extremes_match(np.linalg.eigvalsh(M), *_extreme_eigenvalues(M))
-    assert _extreme_eigenvalues(np.zeros((5, 5))) == (0.0, 0.0)
+        _assert_extremes_match(np.linalg.eigvalsh(M), *extreme_eigenvalues(M))
+    assert extreme_eigenvalues(np.zeros((5, 5))) == (0.0, 0.0)
     with pytest.raises(ValueError):
-        _extreme_eigenvalues(np.ones((2, 3)))
+        extreme_eigenvalues(np.ones((2, 3)))
     for M in (np.zeros((0, 0)), np.zeros((0, 0), dtype=complex)):
         with pytest.raises(ValueError, match="matrix is empty"):
-            _extreme_eigenvalues(M)
+            extreme_eigenvalues(M)
 
 
 def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
@@ -350,7 +345,7 @@ def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
             with pytest.raises(ValueError, match="Hermitian"):
                 dense_ppt_check(bad, mask, 3)
         with pytest.raises(ValueError, match="Hermitian"):
-            _extreme_eigenvalues(bad)
+            extreme_eigenvalues(bad)
     bad = rho.astype(complex)
     bad[5, 5] += 1e-6j
     with pytest.raises(ValueError, match="Hermitian"):
@@ -358,7 +353,7 @@ def test_dense_ppt_check_rejects_non_hermitian_input(ppt_entangled_spec):
     # the test is relative to the largest entry: asymmetric by 1.0 of it,
     # though under 1e-12 in absolute terms, fails; rounding passes at any scale
     with pytest.raises(ValueError, match="Hermitian"):
-        _extreme_eigenvalues(np.array([[1e-20, 1e-15], [0.0, 1e-20]]))
+        extreme_eigenvalues(np.array([[1e-20, 1e-15], [0.0, 1e-20]]))
     for scale in (1.0, 1e6, 1e-20):
         near = scale * rho
         near[0, 26] = 1e-14 * scale
@@ -369,7 +364,7 @@ def test_one_sided_entry_joins_its_two_indices():
     for i, j in [(2, 0), (0, 2)]:
         M = np.diag([1.0, 2.0, 3.0])
         M[i, j] = 1e-14
-        assert _extreme_eigenvalues(M) == pytest.approx((1.0, 3.0), abs=1e-12)
+        assert extreme_eigenvalues(M) == pytest.approx((1.0, 3.0), abs=1e-12)
 
 
 def test_dense_ppt_check_matches_full_spectrum_on_dense_verify_mix():
@@ -475,7 +470,7 @@ def test_quotient_spectrum_matches_full_eigvalsh_on_planted_classes(monkeypatch,
         assert abs(M - M.conj().T).max() == 0
         ev = np.linalg.eigvalsh(M)
         rows.clear()
-        _assert_extremes_match(ev, *_extreme_eigenvalues(M))
+        _assert_extremes_match(ev, *extreme_eigenvalues(M))
         # one eigensolve with one row per distinct row value: the -0.0
         # copies join their classes, and the zero rows of every block merge
         distinct = {tuple(row) for row in M.tolist()}
@@ -487,23 +482,23 @@ def test_quotient_spectrum_gains_the_null_vectors_zero():
     # rows 0 and 1 are equal: e_0 - e_1 is a null vector of a matrix whose
     # quotient [[4, 2 sqrt 2], [2 sqrt 2, 3]] has no zero eigenvalue
     M = np.array([[2.0, 2.0, 2.0], [2.0, 2.0, 2.0], [2.0, 2.0, 3.0]])
-    lam_min, lam_max = _extreme_eigenvalues(M)
+    lam_min, lam_max = extreme_eigenvalues(M)
     assert lam_min == 0.0
     _assert_extremes_match(np.linalg.eigvalsh(M), lam_min, lam_max)
-    assert _extreme_eigenvalues(-M) == (-lam_max, 0.0)
-    assert _extreme_eigenvalues(np.ones((4, 4))) == pytest.approx((0.0, 4.0), abs=1e-12)
+    assert extreme_eigenvalues(-M) == (-lam_max, 0.0)
+    assert extreme_eigenvalues(np.ones((4, 4))) == pytest.approx((0.0, 4.0), abs=1e-12)
 
 
 def test_equal_rows_with_unequal_columns_are_not_hermitian(ppt_entangled_spec):
     # the quotient by equal rows is Hermitian in both cases; only the
     # columns of the distinct rows, split within a class, show the asymmetry
     with pytest.raises(ValueError, match="not Hermitian"):
-        _extreme_eigenvalues(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        extreme_eigenvalues(np.array([[1.0, 2.0], [1.0, 2.0]]))
     pt = partial_transpose(build_state(ppt_entangled_spec), (1, 0, 0), 3)
     assert (pt[0] != pt[1]).any()
     pt[1] = pt[0]
     with pytest.raises(ValueError, match="not Hermitian"):
-        _extreme_eigenvalues(pt)
+        extreme_eigenvalues(pt)
 
 
 @pytest.fixture
@@ -529,7 +524,7 @@ def test_colliding_hashes_keep_the_quotient_exact(one_hash, monkeypatch, dtype):
     for M in matrices:
         ev = np.linalg.eigvalsh(M)
         rows.clear()
-        _assert_extremes_match(ev, *_extreme_eigenvalues(M))
+        _assert_extremes_match(ev, *extreme_eigenvalues(M))
         # the copies of row 0 (in value) merge, every other row stays apart
         assert rows == [len(M) - int((M == M[0]).all(axis=1).sum()) + 1]
 
@@ -542,7 +537,7 @@ def test_colliding_hashes_still_reject_bad_input(one_hash, ppt_entangled_spec):
         with pytest.raises(ValueError, match="non-finite"):
             dense_ppt_check(bad_rho, (1, 0, 0), 3)
     with pytest.raises(ValueError, match="not Hermitian"):
-        _extreme_eigenvalues(np.array([[1.0, 2.0], [1.0, 2.0]]))
+        extreme_eigenvalues(np.array([[1.0, 2.0], [1.0, 2.0]]))
     bad_rho = rho.copy()
     bad_rho[0, 26] = 1e-6
     with pytest.raises(ValueError, match="not Hermitian"):
@@ -564,7 +559,7 @@ def test_non_finite_entries_are_rejected(bad, ppt_entangled_spec):
             np.array(later, dtype=complex),
         ):
             with pytest.raises(ValueError, match="non-finite"):
-                _extreme_eigenvalues(np.array(M))
+                extreme_eigenvalues(np.array(M))
         rho = build_state(ppt_entangled_spec)
         for i, j in [(0, 0), (4, 12), (0, 26)]:
             bad_rho = rho.copy()
@@ -586,17 +581,17 @@ def test_extreme_eigenvalues_of_non_contiguous_matrices():
     pt = partial_transpose(rho, (1, 0, 1, 0, 0), 3)
     planted, _ = _planted(rng, [3, 0, 5, -6, 2, 1], complex)
     for M in (pt, planted):
-        expected = _extreme_eigenvalues(M)
+        expected = extreme_eigenvalues(M)
         for layout in (np.asfortranarray(M), np.kron(M, np.ones((2, 2)))[::2, ::2]):
             assert not layout.flags.c_contiguous
             np.testing.assert_array_equal(layout, M)
-            assert _extreme_eigenvalues(layout) == expected
+            assert extreme_eigenvalues(layout) == expected
         # M.T is the transpose itself: real symmetric, or the conjugate
         # matrix, whose spectrum is the same
-        transpose = _extreme_eigenvalues(M.T)
-        assert transpose == _extreme_eigenvalues(np.ascontiguousarray(M.T))
+        transpose = extreme_eigenvalues(M.T)
+        assert transpose == extreme_eigenvalues(np.ascontiguousarray(M.T))
         _assert_extremes_match(np.linalg.eigvalsh(M), *transpose)
-    assert _extreme_eigenvalues(pt.T) == _extreme_eigenvalues(pt)
+    assert extreme_eigenvalues(pt.T) == extreme_eigenvalues(pt)
 
 
 def test_integer_and_single_precision_inputs_are_solved_in_double():
@@ -608,7 +603,7 @@ def test_integer_and_single_precision_inputs_are_solved_in_double():
     integer = np.rint(real * 8).astype(np.int64)
     for M in (integer, real.astype(np.float32), cplx.astype(np.complex64)):
         double = M.astype(np.result_type(M, np.float64))
-        assert _extreme_eigenvalues(M) == _extreme_eigenvalues(double)
+        assert extreme_eigenvalues(M) == extreme_eigenvalues(double)
         assert dense_ppt_check(M, (1, 0, 1, 0), 2) == dense_ppt_check(double, (1, 0, 1, 0), 2)
 
 
@@ -643,7 +638,7 @@ def test_matrices_without_equal_rows_allocate_little_beside_them(dtype, bound):
     interleaved = (1, 0) * 4
     assert len(np.unique(M, axis=0)) == len(M)
     checks = [
-        (lambda: _extreme_eigenvalues(M), M),
+        (lambda: extreme_eigenvalues(M), M),
         (lambda: dense_ppt_check(M, interleaved, 2)[1:], partial_transpose(M, interleaved, 2)),
     ]
     for extremes, reference in checks:
@@ -658,15 +653,15 @@ def test_matrices_without_equal_rows_allocate_little_beside_them(dtype, bound):
 
 
 def test_dense_ppt_check_rejects_a_malformed_row_map(ppt_entangled_spec):
-    rows, sums = digit_sum_rows(3, 3, ppt_entangled_spec.p)
+    core, sums = digit_sum_core(3, 3, ppt_entangled_spec.p)
     mask = (1, 0, 0)
     expected = dense_ppt_check(build_state(ppt_entangled_spec), mask, 3)
-    assert dense_ppt_check(rows, mask, 3, DEFAULT_PSD_TOL, sums) == expected
-    assert dense_ppt_check(rows, mask, 3, DEFAULT_PSD_TOL, sums.tolist()) == expected
+    assert dense_ppt_check(core, mask, 3, DEFAULT_PSD_TOL, sums) == expected
+    assert dense_ppt_check(core, mask, 3, DEFAULT_PSD_TOL, sums.tolist()) == expected
     malformed = {
         "short": sums[:-1],
         "long": np.append(sums, 0),
-        "past the rows": np.where(sums == 6, 7, sums),
+        "past the core": np.where(sums == 6, 7, sums),
         "negative": np.where(sums == 0, -1, sums),
         "float": sums.astype(float),
         "bool": sums > 2,
@@ -674,10 +669,24 @@ def test_dense_ppt_check_rejects_a_malformed_row_map(ppt_entangled_spec):
     }
     for name, row_of in malformed.items():
         with pytest.raises(ValueError):
-            dense_ppt_check(rows, mask, 3, DEFAULT_PSD_TOL, row_of)
+            dense_ppt_check(core, mask, 3, DEFAULT_PSD_TOL, row_of)
             pytest.fail(name)
-    with pytest.raises(ValueError, match="not \\(d\\*\\*N, d\\*\\*N\\)"):
-        dense_ppt_check(rows[:, :9], mask, 3, DEFAULT_PSD_TOL, sums)
+    with pytest.raises(ValueError, match="not square"):
+        dense_ppt_check(core[:, :5], mask, 3, DEFAULT_PSD_TOL, sums)
+
+
+def test_core_entries_the_map_never_names_are_not_read(ppt_entangled_spec):
+    # the state is core[row_of][:, row_of]: a core index outside the map,
+    # here index 3 with non-finite and one-sided entries, is no entry of it
+    core, sums = digit_sum_core(3, 3, ppt_entangled_spec.p)
+    named = [0, 1, 2, 4, 5, 6, 7]
+    padded = np.full((8, 8), np.nan)
+    padded[np.ix_(named, named)] = core
+    padded[0, 3] = 1.0
+    row_of = np.where(sums >= 3, sums + 1, sums)
+    for mask in [(1, 0, 0), (0, 1, 1)]:
+        expected = dense_ppt_check(build_state(ppt_entangled_spec), mask, 3)
+        assert repr(dense_ppt_check(padded, mask, 3, DEFAULT_PSD_TOL, row_of)) == repr(expected)
 
 
 # Metamorphic relations of the partial transpose, on small D-symmetric states
@@ -707,9 +716,9 @@ def states_and_masks(draw):
 
 @ORACLE_SETTINGS
 @given(small_specs(), st.data())
-def test_distinct_rows_and_row_map_check_as_the_dense_state(spec, data):
-    # the state given as its distinct rows and digit sums is the same
-    # matrix, so the same classes, quotient and extremes, bit for bit
+def test_core_and_index_map_check_as_the_dense_state(spec, data):
+    # the state given as its core diag(p) and digit sums is the same
+    # matrix, so the same quotient and extremes, bit for bit
     N, d = spec.N, spec.d
     w = data.draw(st.integers(0, N))
     start = data.draw(st.integers(0, 1))
@@ -717,8 +726,8 @@ def test_distinct_rows_and_row_map_check_as_the_dense_state(spec, data):
         st.sampled_from([(1,) * w + (0,) * (N - w), tuple((k + start) % 2 for k in range(N))])
     )
     tol = data.draw(st.sampled_from([DEFAULT_PSD_TOL, 1e-6]))
-    rows, sums = digit_sum_rows(N, d, spec.p)
-    factored = dense_ppt_check(rows, mask, d, tol, sums)
+    core, sums = digit_sum_core(N, d, spec.p)
+    factored = dense_ppt_check(core, mask, d, tol, sums)
     assert repr(factored) == repr(dense_ppt_check(build_state(spec), mask, d, tol))
 
 
@@ -780,17 +789,22 @@ def test_planted_quotients_match_the_full_spectrum_under_every_mask(case):
 
 
 @ORACLE_SETTINGS
-@given(planted_and_masks())
-def test_planted_matrices_given_by_distinct_rows_check_as_built(case):
-    # any order of the distinct rows and any row map that rebuilds the
-    # matrix: the classes are named by their first index, not by a row.
-    # np.unique takes -0.0 for 0.0, so the rebuilt matrix, not M, is the
-    # bitwise reference (the eigensolver sees the signs of zeros)
+@given(planted_and_masks(), st.randoms(use_true_random=False))
+def test_planted_matrices_given_by_a_permuted_core_check_as_built(case, random):
+    # any order of the core's indices, with the map that rebuilds the
+    # matrix on both sides: the quotient is read from the matrix, not from
+    # the core's order.  np.unique takes -0.0 for 0.0, so the rebuilt
+    # matrix, not M, is the bitwise reference (the eigensolver sees the
+    # signs of zeros)
     M, d, mask = case
-    rows, row_of = np.unique(M, axis=0, return_inverse=True)
-    np.testing.assert_array_equal(rows[row_of], M)
-    factored = dense_ppt_check(rows[::-1], mask, d, DEFAULT_PSD_TOL, len(rows) - 1 - row_of)
-    assert repr(factored) == repr(dense_ppt_check(rows[row_of], mask, d))
+    _, first, row_of = np.unique(M, axis=0, return_index=True, return_inverse=True)
+    core = M[np.ix_(first, first)]
+    built = core[np.ix_(row_of, row_of)]
+    np.testing.assert_array_equal(built, M)
+    order = np.array(random.sample(range(len(core)), len(core)))
+    position = np.argsort(order)  # each core index's place in the new order
+    factored = dense_ppt_check(core[np.ix_(order, order)], mask, d, DEFAULT_PSD_TOL, position[row_of])
+    assert repr(factored) == repr(dense_ppt_check(built, mask, d))
 
 
 @ORACLE_SETTINGS
