@@ -659,6 +659,7 @@ def test_dense_ppt_check_rejects_a_malformed_row_map(ppt_entangled_spec):
     assert dense_ppt_check(core, mask, 3, DEFAULT_PSD_TOL, sums) == expected
     assert dense_ppt_check(core, mask, 3, DEFAULT_PSD_TOL, sums.tolist()) == expected
     malformed = {
+        "empty": sums[:0],
         "short": sums[:-1],
         "long": np.append(sums, 0),
         "past the core": np.where(sums == 6, 7, sums),
