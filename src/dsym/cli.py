@@ -89,33 +89,57 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _complex_pairs(values) -> list[list[float]]:
-    v = np.asarray(values)
-    return np.stack((v.real, v.imag), axis=-1).tolist()
+def _float_texts(values: np.ndarray) -> list[str]:
+    """The JSON text of each entry of a 1-D float64 array, in order, as
+    `json.dumps` writes it: each distinct bit pattern (so -0.0 stays apart
+    from 0.0) goes through `float.__repr__` once.  A non-finite entry
+    raises ValueError, as `json.dumps(..., allow_nan=False)` does."""
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
-def _witness_json(w: WitnessSpec) -> dict:
-    return {
-        "type": "witness",
-        "family": w.family,
-        "coeffs": _complex_pairs(w.coeffs),
-        "witness_value": w.witness_value,
-    }
+def _pair_floats(vectors) -> np.ndarray:
+    """The (re, im) floats of a complex array's entries, in order."""
+    return np.asarray(vectors, dtype=np.complex128).reshape(-1).view(np.float64)
 
 
-def _ensemble_json(e: SeparableEnsemble) -> dict:
-    """The certificate's terms, one group at a time: one `tolist` call per
-    group converts all of its vectors."""
-    terms = []
-    for w, vectors in e.groups:
-        if isinstance(vectors, str):
-            terms.append({"weight": w, "vector": "top"})
+def _witness_json(w: WitnessSpec) -> str:
+    """The witness certificate as compact JSON text."""
+    value = w.witness_value
+    floats = _pair_floats(w.coeffs)
+    texts = _float_texts(floats if value is None else np.append(floats, value))
+    coeffs = ",".join(["[%s,%s]"] * len(w.coeffs)) % tuple(texts[: floats.size])
+    return (
+        '{"type":"witness","family":' + json.dumps(w.family) + ',"coeffs":[' + coeffs
+        + '],"witness_value":' + ("null" if value is None else texts[-1]) + "}"
+    )
+
+
+def _ensemble_json(e: SeparableEnsemble) -> str:
+    """The ensemble certificate as compact JSON text, one term per row:
+    every float goes through one `_float_texts` call, each group gets one
+    row template with its weight's text written in, and a single `%`
+    fills the vectors of every row."""
+    error = e.reconstruction_error
+    head = [w for w, _ in e.groups] + ([] if error is None else [error])
+    vectors = [_pair_floats(v) for _, v in e.groups if not isinstance(v, str)]
+    texts = _float_texts(np.concatenate([head, *vectors]))
+    rows = []
+    for (_, v), weight in zip(e.groups, texts):
+        if isinstance(v, str):
+            rows.append('{"weight":' + weight + ',"vector":"top"}')
             continue
-        pairs = _complex_pairs(vectors)
-        if np.ndim(vectors) == 1:  # a group of one vector
-            pairs = [pairs]
-        terms += [{"weight": w, "vector": v} for v in pairs]
-    return {"type": "ensemble", "terms": terms, "reconstruction_error": e.reconstruction_error}
+        pairs = ",".join(["[%s,%s]"] * np.shape(v)[-1])
+        row = '{"weight":' + weight + ',"vector":[' + pairs + "]}"
+        rows.append(",".join([row] * (len(v) if np.ndim(v) == 2 else 1)))
+    template = (
+        '{"type":"ensemble","terms":[' + ",".join(rows) + '],"reconstruction_error":'
+        + ("null" if error is None else texts[len(head) - 1]) + "}"
+    )
+    return template % tuple(texts[len(head):])
 
 
 def _separability_json(v: SeparabilityVerdict) -> dict:
@@ -160,11 +184,14 @@ def _base_report(command: str, spec: StateSpec, psd_tol: float, residual_tol: fl
     }
 
 
-def _emit(report: dict, started: float, parsed: float, decided: float) -> None:
+def _emit(
+    report: dict, started: float, parsed: float, decided: float, certificate: str | None = None
+) -> None:
     """Write strict JSON on one compact line, or nothing: a non-finite value
     raises ValueError.  The times are perf_counter readings at the command's
     start, after the spec parse and after the verdict; `report_s` runs from
-    the verdict to this call, which receives the finished report."""
+    the verdict to this call, which receives the finished report and the
+    certificate's JSON text, if any, for the report's null "certificate"."""
     reported = time.perf_counter()
     report["timings"] = {
         "total_s": time.perf_counter() - started,
@@ -175,6 +202,9 @@ def _emit(report: dict, started: float, parsed: float, decided: float) -> None:
     # every report is a fresh tree of dicts, lists and scalars built in this
     # module, so it cannot hold a cycle and the encoder need not look for one
     text = json.dumps(report, allow_nan=False, check_circular=False, separators=(",", ":"))
+    if certificate is not None:
+        # only the key can make this pattern: a JSON string holds no bare quote
+        text = text.replace('"certificate":null', '"certificate":' + certificate, 1)
     sys.stdout.write(text + "\n")
 
 
@@ -214,18 +244,17 @@ def cmd_check_separable(args, psd_tol: float, residual_tol: float) -> int:
     decided = time.perf_counter()
     report = _base_report("check-separable", spec, psd_tol, residual_tol)
     report["separability"] = _separability_json(verdict)
-    report["certificate"] = None
+    report["certificate"] = certificate = None
     if args.certificate:
         if verdict.recovery_error is not None:
             _recovery_refused(report, verdict.recovery_error)
         elif verdict.verdict == "separable":
-            ensemble = ensemble_from_verdict(spec, verdict, args.normalize)
-            report["certificate"] = _ensemble_json(ensemble)
+            certificate = _ensemble_json(ensemble_from_verdict(spec, verdict, args.normalize))
         elif verdict.witness is not None:
-            report["certificate"] = _witness_json(verdict.witness)
+            certificate = _witness_json(verdict.witness)
         else:
             report["certificate_reason"] = MARGINAL_REASON
-    _emit(report, started, parsed, decided)
+    _emit(report, started, parsed, decided, certificate)
     return _VERDICT_EXIT[verdict.verdict]
 
 
@@ -265,14 +294,14 @@ def cmd_decompose(args, psd_tol: float, residual_tol: float) -> int:
     decided = time.perf_counter()
     report = _base_report("decompose", spec, psd_tol, residual_tol)
     report["separability"] = _separability_json(verdict)
-    report["certificate"] = None
+    report["certificate"] = certificate = None
     try:
-        report["certificate"] = _ensemble_json(ensemble_from_verdict(spec, verdict, args.normalize))
+        certificate = _ensemble_json(ensemble_from_verdict(spec, verdict, args.normalize))
     except NotSeparableError as exc:
         report["certificate_reason"] = str(exc)
     except RecoveryError as exc:
         _recovery_refused(report, exc)
-    _emit(report, started, parsed, decided)
+    _emit(report, started, parsed, decided, certificate)
     return _VERDICT_EXIT[verdict.verdict]
 
 

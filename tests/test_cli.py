@@ -1,23 +1,33 @@
 """CLI surface: JSON parsing, report schema, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dsym.cli
 import dsym.moment
 import dsym.oracle
 import dsym.states
 from dsym.cli import main, parse_spec_dict
-from dsym.decompose import ensemble_from_measure, separable_ensemble
+from dsym.decompose import (
+    SeparableEnsemble,
+    ensemble_from_measure,
+    ensemble_from_verdict,
+    separable_ensemble,
+)
 from dsym.moment import DEFAULT_RESIDUAL_TOL, MeasureAtoms, RecoveryError, is_separable
 from dsym import ppt
 from dsym.ppt import DEFAULT_PSD_TOL
@@ -854,8 +864,102 @@ def test_ensemble_json_matches_per_term_reference():
     ensemble = ensemble_from_measure(parse_spec_dict(MIXED), MIXED_MEASURE)
     # one term for the atom at 0, L = 7 per interior atom, the top state last
     assert len(ensemble.terms) == 1 + 7 + 7 + 1 and ensemble.terms[-1][1] == "top"
-    got = json.dumps(dsym.cli._ensemble_json(ensemble))
-    assert got == json.dumps(_per_term_ensemble_json(ensemble.terms, ensemble.reconstruction_error))
+    expected = _per_term_ensemble_json(ensemble.terms, ensemble.reconstruction_error)
+    assert dsym.cli._ensemble_json(ensemble) == json.dumps(expected, separators=(",", ":"))
+
+
+def _compact(data):
+    return json.dumps(data, separators=(",", ":"))
+
+
+def _cli_stdout(argv):
+    """Exit code and stdout of `main`, without pytest's function fixtures."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@st.composite
+def certified_measures(draw):
+    """A measure with atoms at 0, below 1 and above 1 (each in some draws)
+    and an optional top mass, for d in 2..4 and 2 <= N <= 40."""
+    d = draw(st.integers(2, 4))
+    N = draw(st.integers(2, 40))
+    weight = st.floats(0.1, 1.0)
+    atoms = []
+    if draw(st.booleans()):
+        atoms.append((0.0, draw(weight)))
+    if draw(st.booleans()):
+        atoms.append((draw(st.floats(0.2, 0.8)), draw(weight)))
+    if not atoms or draw(st.booleans()):
+        atoms.append((draw(st.floats(1.2, 1.6)), draw(weight)))
+    top = draw(st.sampled_from([0.0, 0.5])) * draw(weight)
+    return N, d, MeasureAtoms(tuple(atoms), top, 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(certified_measures())
+def test_certificate_stdout_matches_per_term_reference(case):
+    N, d, measure = case
+    spec = StateSpec(N, d, tuple(measure.reproduced(N * (d - 1)).tolist()))
+    verdict = is_separable(spec)
+    assume(verdict.verdict == "separable" and verdict.recovery_error is None)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_spec(Path(tmp), {"N": N, "d": d, "p": list(spec.p)})
+        for normalize in (False, True):
+            ensemble = ensemble_from_verdict(spec, verdict, normalize)
+            expected = _per_term_ensemble_json(ensemble.terms, ensemble.reconstruction_error)
+            flag = ["--normalize"] if normalize else []
+            for argv in (["decompose", path, *flag], ["check-separable", path, "--certificate", *flag]):
+                code, out = _cli_stdout(argv)
+                report = json.loads(out)
+                report["certificate"] = expected
+                assert code == 0 and out == _compact(report) + "\n", argv
+
+
+def test_signed_zeros_render_as_json_dumps_does():
+    # -0.0 == 0.0, so only their bit patterns keep the two texts apart
+    vectors = np.array([[1.0, complex(-0.0, 0.0)], [complex(0.0, -0.0), complex(-0.0, -0.0)]])
+    ensemble = SeparableEnsemble(
+        2,
+        2,
+        ((0.25, vectors), (-0.0, np.array([complex(0.0, -0.0), 0.5])), (0.0, "top")),
+        -0.0,
+    )
+    got = dsym.cli._ensemble_json(ensemble)
+    assert got == _compact(_per_term_ensemble_json(ensemble.terms, -0.0))
+    assert "[-0.0,0.0]" in got and "[0.0,-0.0]" in got and "[-0.0,-0.0]" in got
+
+
+def test_non_finite_certificate_raises_and_prints_nothing(tmp_path, capsys, monkeypatch):
+    inf_vector = np.array([1.0, complex(0.0, math.inf)])
+    ensemble = SeparableEnsemble(2, 2, ((0.5, inf_vector),), 0.0)
+    with pytest.raises(ValueError, match="JSON"):
+        dsym.cli._ensemble_json(ensemble)
+    monkeypatch.setattr(dsym.cli, "ensemble_from_verdict", lambda *args: ensemble)
+    path = write_spec(tmp_path, {"N": 2, "d": 2, "p": [1.0, 0.5, 0.25]})
+    for argv in (["decompose", path], ["check-separable", path, "--certificate"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "JSON" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (["check-ppt", "--m", "1"], MIXED),
+        (["check-separable", "--certificate"], MIXED),
+        (["check-separable", "--certificate"], COUNTEREXAMPLE),
+        (["decompose", "--normalize"], MIXED),
+        (["oracle-verify", "--mask", "101"], MIXED),
+    ],
+    ids=["check-ppt", "ensemble", "witness", "decompose", "oracle-verify"],
+)
+def test_stdout_is_its_own_compact_dump(tmp_path, capsys, argv, spec):
+    main([argv[0], write_spec(tmp_path, spec), *argv[1:]])
+    out = capsys.readouterr().out
+    assert _compact(json.loads(out)) + "\n" == out
 
 
 def test_decompose_stdout_matches_per_term_reference(tmp_path, capsys):
